@@ -13,11 +13,12 @@ recover **byte-identical** key sets, and writes the measurements to
     python benchmarks/harness.py --repeat 3       # median-of-3 stages
     python benchmarks/harness.py --min-speedup 20 # regression gate (CI)
 
-Stage times are honest: the fast path's join and verify numbers come
-from :attr:`AesKeySearch.stage_seconds` — the clocks the fused kernel
-runs *inside* ``find_hits`` — not from replaying the stages separately,
-and each record's ``workers`` field is the parallelism the stage really
-ran with (mine/join/verify are single-threaded measurements; only
+Stage times are honest: join and verify numbers, for the fast path and
+the seed baseline alike, come from :attr:`AesKeySearch.stage_seconds` —
+the clocks each scan runs *inside* ``find_hits`` — not from replaying
+the stages separately, and each record's ``workers`` field is the
+parallelism the stage really ran with (mine/join/verify are
+single-threaded measurements; only
 ``end_to_end`` fans out, and it also records which executor the scan
 chose).  With ``--repeat N`` every fast stage is measured N times and
 the median recorded (raw samples ride along as ``wall_s_samples``).
@@ -153,38 +154,6 @@ def _stage(
     return record
 
 
-def _time_join_verify(
-    search: AesKeySearch, blocks, n_blocks: int, n_keys: int
-) -> tuple[dict, dict, int]:
-    """Time the seed path's join and verify over every (offset, phase).
-
-    Only the frozen :class:`SeedAesKeySearch` is measured this way —
-    its stages really are separate passes.  The fast path reports the
-    clocks the fused kernel keeps itself (``stage_seconds``)."""
-    geometry = [
-        (offset, phase)
-        for offset in search.offsets
-        for phase in search.variant.phases()
-    ]
-    start = time.perf_counter()
-    joined = [
-        (offset, phase, search._candidate_pairs(blocks, offset, phase))
-        for offset, phase in geometry
-    ]
-    join_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    n_hits = 0
-    for offset, phase, pairs in joined:
-        n_hits += len(search._verify_pairs(blocks, pairs, offset, phase))
-    verify_s = time.perf_counter() - start
-    return (
-        _stage(join_s, n_blocks, n_keys, 1),
-        _stage(verify_s, n_blocks, n_keys, 1),
-        n_hits,
-    )
-
-
 def run_benchmark(
     size_mib: int,
     workers: int,
@@ -213,7 +182,6 @@ def run_benchmark(
     n_keys = n_hits = 0
     executor = "serial"
     keys = None
-    blocks = None
     recovered = None
     for rep in range(repeat):
         start = time.perf_counter()
@@ -221,7 +189,6 @@ def run_benchmark(
         mine_samples.append(time.perf_counter() - start)
         n_keys = len(candidates)
         keys = keys_matrix(candidates)
-        blocks = dump.blocks_matrix()
 
         # The fused kernel times its own stages while it streams; read
         # them back instead of re-simulating the join and verify as
@@ -285,10 +252,12 @@ def run_benchmark(
     }
 
     if with_baseline:
+        # The seed scan times its own join and verify inside find_hits,
+        # exactly as the fast path is read above.
         seed_search = SeedAesKeySearch(keys, key_bits=256)
-        base_join, base_verify, _ = _time_join_verify(
-            seed_search, blocks, n_blocks, n_keys
-        )
+        seed_search.find_hits(dump)
+        base_join = _stage(seed_search.stage_seconds["join"], n_blocks, n_keys, 1)
+        base_verify = _stage(seed_search.stage_seconds["verify"], n_blocks, n_keys, 1)
         print(
             f"[harness] baseline join: {base_join['wall_s']:.2f}s, "
             f"verify: {base_verify['wall_s']:.2f}s"

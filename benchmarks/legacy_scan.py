@@ -18,6 +18,8 @@ byte-identical results in a single process, on identical inputs.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.attack.aes_search import (
@@ -186,7 +188,31 @@ def _seed_repair_observed_table(
 
 
 class SeedAesKeySearch(AesKeySearch):
-    """:class:`AesKeySearch` exactly as the seed implemented it."""
+    """:class:`AesKeySearch` exactly as the seed implemented it.
+
+    The scan is the seed's unfused loop: one full-dump dict join and one
+    verification pass per (offset, phase).  It is the reference the
+    fused streaming kernel of :meth:`AesKeySearch.find_hits` is pinned
+    against, at join radius 0 and 1.
+    """
+
+    def find_hits(self, image: MemoryImage) -> list[ScheduleHit]:
+        blocks = image.blocks_matrix()
+        self.stage_seconds = {"join": 0.0, "verify": 0.0}
+        stage = self.stage_seconds
+        hits: list[ScheduleHit] = []
+        for offset in self.offsets:
+            for phase in self.variant.phases():
+                tick = time.perf_counter()
+                pairs = self._candidate_pairs(blocks, offset, phase)
+                tock = time.perf_counter()
+                stage["join"] += tock - tick
+                hits.extend(self._verify_pairs(blocks, pairs, offset, phase))
+                stage["verify"] += time.perf_counter() - tock
+            if self.on_progress is not None:
+                self.on_progress()
+        hits.sort(key=lambda h: (h.block_index, h.offset, h.round_index))
+        return hits
 
     def _span_score(self, expansion: np.ndarray, spans: list[tuple[int, np.ndarray]]) -> int:
         score = 0
@@ -266,6 +292,30 @@ class SeedAesKeySearch(AesKeySearch):
             key_fp.reshape(-1, n_bands, 2).copy().view(np.uint16).reshape(-1, n_bands)
         )
         return self._banded_join_dict(block_bands, key_bands)
+
+    def _banded_join_dict(self, block_bands: np.ndarray, key_bands: np.ndarray) -> np.ndarray:
+        """The Python hash join: a pair joins when any band matches.
+
+        At ``join_radius_bits == 1`` each block band value also probes
+        its 16 single-bit neighbours.  Returns ``(block, key)`` rows in
+        ascending lexicographic order.
+        """
+        probe_masks = (
+            [0] if not self.join_radius_bits else [0, *(1 << i for i in range(16))]
+        )
+        pairs: set[tuple[int, int]] = set()
+        for band in range(block_bands.shape[1]):
+            key_lookup: dict[int, list[int]] = {}
+            for k, value in enumerate(key_bands[:, band].tolist()):
+                key_lookup.setdefault(value, []).append(k)
+            for b, value in enumerate(block_bands[:, band].tolist()):
+                for mask in probe_masks:
+                    hit_keys = key_lookup.get(value ^ mask)
+                    if hit_keys is not None:
+                        pairs.update((b, k) for k in hit_keys)
+        if not pairs:
+            return np.empty((0, 2), dtype=np.int64)
+        return np.asarray(sorted(pairs), dtype=np.int64)
 
     def _verify_pairs(
         self,

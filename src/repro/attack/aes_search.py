@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -77,12 +76,6 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.errors import DeadlineExceededError, DecodeAbstainError
 from repro.util.bits import POPCOUNT_TABLE
 from repro.util.blocks import BLOCK_SIZE
-
-#: The fused scan composes 2-byte band values as ``lo | hi << 8`` to
-#: match the cache's native ``view(np.uint16)`` of fingerprint bytes —
-#: an equivalence that holds only on little-endian hosts.  Big-endian
-#: hosts take the per-offset path instead (same results, slower).
-_NATIVE_LITTLE = sys.byteorder == "little"
 
 #: Minimum satisfied (fully observed) expansion checks an observed
 #: table must show before a belief-propagation decode is attempted.
@@ -237,6 +230,10 @@ def default_scan_offsets(key_bits: int) -> tuple[int, ...]:
 #: Shared empty probe result, so memoised no-hit bands cost nothing.
 _EMPTY_CODES = np.empty(0, dtype=np.int64)
 
+#: XOR masks of a radius-1 band probe: the value itself, then each of
+#: its 16 single-bit neighbours.
+_RADIUS1_MASKS = np.array([0, *(1 << i for i in range(16))], dtype=np.uint16)
+
 
 def _all_pairs(blocks: np.ndarray, n_keys: int) -> np.ndarray:
     """Every (block, key) pair, lexicographic — as an array, not tuples.
@@ -358,12 +355,12 @@ class KeyFingerprintCache:
     ) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """``(values, orders, indptrs)`` for one (offset, phase).
 
-        ``values`` is the ``(k, n_bands)`` uint16 band matrix; for each
-        band, ``orders[band]`` is the stable argsort of its column and
-        ``indptrs[band]`` a direct-address table over the 2^16 possible
-        band values: the keys holding value ``v`` occupy positions
-        ``indptr[v]:indptr[v+1]`` of ``orders[band]``.  Probing it is
-        two gathers per block instead of two binary searches.
+        ``values`` is the ``(k, n_bands)`` little-endian uint16 band
+        matrix; for each band, ``orders[band]`` is the stable argsort of
+        its column and ``indptrs[band]`` a direct-address table over the
+        2^16 possible band values: the keys holding value ``v`` occupy
+        positions ``indptr[v]:indptr[v+1]`` of ``orders[band]``.  Probing
+        it is two gathers per block instead of two binary searches.
         """
         entry = self._bands.get((offset, phase))
         if entry is None:
@@ -374,7 +371,9 @@ class KeyFingerprintCache:
                 fp = _fingerprints(
                     self.keys[:, offset : offset + span], self.variant.nk, phase
                 )
-                values = np.ascontiguousarray(fp).view(np.uint16)
+                # Explicit little-endian, so a band value is ``lo | hi << 8``
+                # on every host — exactly how the scan composes block bands.
+                values = np.ascontiguousarray(fp).view("<u2")
                 orders = []
                 indptrs = []
                 for band in range(values.shape[1]):
@@ -486,7 +485,7 @@ class KeyFingerprintCache:
         n_keys = int(cache.keys.shape[0])
         shared: dict[int, np.ndarray] = {}
 
-        def array(location: int, dtype: type, count: int) -> np.ndarray:
+        def array(location: int, dtype: type | str, count: int) -> np.ndarray:
             out = shared.get(location)
             if out is None:
                 out = np.frombuffer(payload, dtype=dtype, count=count, offset=location)
@@ -495,7 +494,7 @@ class KeyFingerprintCache:
             return out
 
         for offset, phase, n_bands, locations in meta["entries"]:
-            values = array(locations[0], np.uint16, n_keys * n_bands).reshape(
+            values = array(locations[0], "<u2", n_keys * n_bands).reshape(
                 n_keys, n_bands
             )
             orders = tuple(
@@ -890,7 +889,6 @@ class AesKeySearch:
         extension_radius_blocks: int = 6,
         accept_mismatch_fraction: float = 0.05,
         repair_bits: int = 1,
-        join: str = "sorted",
         join_radius_bits: int = 0,
         key_cache: KeyFingerprintCache | None = None,
         schedule_vote: bool = False,
@@ -929,12 +927,6 @@ class AesKeySearch:
         #: Decay repair: windows are retried with up to this many bit
         #: flips when no pristine window reconstructs a consistent key.
         self.repair_bits = repair_bits
-        if join not in ("sorted", "dict"):
-            raise ValueError(f"join must be 'sorted' or 'dict', got {join!r}")
-        #: Join implementation: ``"sorted"`` (vectorised searchsorted
-        #: join) or ``"dict"`` (the original Python hash join, kept as
-        #: the equivalence oracle for tests and benchmarks).
-        self.join = join
         if join_radius_bits not in (0, 1):
             raise ValueError("join_radius_bits must be 0 or 1")
         #: Hamming radius of the band join.  At radius 1 every block
@@ -1029,113 +1021,6 @@ class AesKeySearch:
 
     # ------------------------------------------------------------- matching
 
-    def _candidate_pairs(self, blocks: np.ndarray, offset: int, phase: int) -> np.ndarray:
-        """Fingerprint-join blocks against keys at one (offset, phase).
-
-        The join is *banded* for decay tolerance: the fingerprint splits
-        into 2-byte bands (two per linear relation), and a (block, key)
-        pair is a candidate when **any** band matches exactly.  A flipped
-        bit corrupts only the band(s) whose source bytes it touches, so
-        a window survives the join unless every band decayed — even at
-        ~2 % combined error (dump decay plus candidate-key noise) most
-        true windows keep at least one clean band.  Per-band false
-        positives arrive at rate 2^-16 per (block, key) pair — a small,
-        bounded stream of junk that dies in verification.
-
-        Returns the matching pairs as an ``(n, 2)`` int64 array of
-        ``(block_index, key_index)`` rows in ascending lexicographic
-        order — identical for both join implementations.
-        """
-        span = self.variant.span_bytes
-        nk = self.variant.nk
-        block_fp = _fingerprints(blocks[:, offset : offset + span], nk, phase)
-        # np.concatenate output is C-contiguous, so the 2-byte bands can
-        # be reinterpreted as uint16 columns without a copy.
-        block_bands = block_fp.view(np.uint16)
-        key_bands, key_orders, key_indptrs = self._key_cache.bands(offset, phase)
-        if self.join == "dict":
-            return self._banded_join_dict(block_bands, key_bands)
-        return self._banded_join_sorted(block_bands, key_orders, key_indptrs)
-
-    def _banded_join_sorted(
-        self,
-        block_bands: np.ndarray,
-        key_orders: tuple[np.ndarray, ...],
-        key_indptrs: tuple[np.ndarray, ...],
-    ) -> np.ndarray:
-        """Vectorised equi-join against the cached key-band order.
-
-        Per band, every block value's run of matching keys is found by
-        two gathers into the direct-address table (``indptr[v]`` /
-        ``indptr[v+1]`` bound the keys holding value ``v`` in the
-        band's sort order); each non-empty ``[left, left+count)`` run is
-        expanded into explicit ``(block, key)`` pairs with
-        cumulative-sum arithmetic — no Python-level loop over blocks or
-        keys.  Bands are unioned by encoding pairs as
-        ``block * n_keys + key`` and sort-deduplicating, which also
-        yields the lexicographic order the dict join produced.
-        """
-        n_keys = self.keys.shape[0]
-        codes: list[np.ndarray] = []
-        for band in range(block_bands.shape[1]):
-            indptr = key_indptrs[band]
-            values = block_bands[:, band].astype(np.int64)
-            if self.join_radius_bits:
-                # Radius-1 probing: each block band queries its own
-                # value plus all 16 single-bit neighbours.  The probe
-                # rows remember which block issued each query, so the
-                # run-expansion below is unchanged.
-                neighbours = values[:, None] ^ self._band_probe_masks()[None, :]
-                probe_rows = np.repeat(
-                    np.arange(values.shape[0], dtype=np.int64), neighbours.shape[1]
-                )
-                values = neighbours.reshape(-1)
-            else:
-                probe_rows = None
-            left = indptr[values]
-            counts = indptr[values + 1] - left
-            rows = np.nonzero(counts)[0]
-            if rows.size == 0:
-                continue
-            codes.append(
-                _expand_probe_runs(
-                    rows if probe_rows is None else probe_rows[rows],
-                    left[rows].astype(np.int64),
-                    counts[rows].astype(np.int64),
-                    key_orders[band],
-                    n_keys,
-                )
-            )
-        if not codes:
-            return np.empty((0, 2), dtype=np.int64)
-        merged = _sorted_unique(np.concatenate(codes))
-        return np.stack((merged // n_keys, merged % n_keys), axis=1)
-
-    def _band_probe_masks(self) -> np.ndarray:
-        """XOR masks of the radius-1 band neighbourhood: 0, then each bit."""
-        masks = np.zeros(17, dtype=np.int64)
-        masks[1:] = 1 << np.arange(16)
-        return masks
-
-    def _banded_join_dict(self, block_bands: np.ndarray, key_bands: np.ndarray) -> np.ndarray:
-        """The original Python hash join — the oracle the sorted join must match."""
-        probe_masks = (
-            [0] if not self.join_radius_bits else [0, *(1 << i for i in range(16))]
-        )
-        pairs: set[tuple[int, int]] = set()
-        for band in range(block_bands.shape[1]):
-            key_lookup: dict[int, list[int]] = {}
-            for k, value in enumerate(key_bands[:, band].tolist()):
-                key_lookup.setdefault(value, []).append(k)
-            for b, value in enumerate(block_bands[:, band].tolist()):
-                for mask in probe_masks:
-                    hit_keys = key_lookup.get(value ^ mask)
-                    if hit_keys is not None:
-                        pairs.update((b, k) for k in hit_keys)
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.asarray(sorted(pairs), dtype=np.int64)
-
     def _verify_pairs(
         self,
         blocks: np.ndarray,
@@ -1192,9 +1077,9 @@ class AesKeySearch:
         nk = variant.nk
         span = variant.span_bytes
         if (offsets == offsets[0]).all():
-            # Single-offset batches (the per-offset path) keep the
-            # contiguous slice; the gather below would pay fancy-index
-            # cost for nothing.
+            # Single-offset batches (neighbour extension, pinned-base
+            # verification) keep the contiguous slice; the gather below
+            # would pay fancy-index cost for nothing.
             lo = int(offsets[0])
             data = (
                 blocks[pair_array[:, 0], lo : lo + span]
@@ -1251,84 +1136,33 @@ class AesKeySearch:
     # -------------------------------------------------------------- scanning
 
     def find_hits(self, image: MemoryImage) -> list[ScheduleHit]:
-        """All verified schedule sightings in the image."""
+        """All verified schedule sightings in the image, in one streaming pass.
+
+        The dump is walked once in :data:`SCAN_CHUNK_BLOCKS` chunks: each
+        chunk's linear-relation byte streams (and their 2-byte band
+        composition) are built once and cover *every* scan offset, so no
+        per-offset fingerprint pass over the dump is needed.  Every
+        (offset, phase) then probes those tables against the key cache
+        (:meth:`_probe_chunk`), joined pairs pass the exact mismatch lower
+        bound (:meth:`_prefilter_chunk_pairs`) while the chunk is
+        cache-hot, and the survivors of all offsets are S-box verified in
+        one stacked batch per phase.  Hits are sorted by (block, offset,
+        round); the sort is stable, so ties stay in ascending key order.
+        """
         blocks = image.blocks_matrix()
         self.stage_seconds = {"join": 0.0, "verify": 0.0}
-        # The fused kernel inlines the join and verify stages, so it can
-        # only stand in for the staged loop when those hooks are the
-        # base-class ones.  A subclass overriding either (the frozen
-        # SeedAesKeySearch in benchmarks/legacy_scan.py overrides both)
-        # must keep flowing through the per-offset loop, where its
-        # overrides are actually called — otherwise the "seed baseline"
-        # would silently run the fast kernels it exists to benchmark.
-        overridden = (
-            type(self)._candidate_pairs is not AesKeySearch._candidate_pairs
-            or type(self)._verify_pairs is not AesKeySearch._verify_pairs
-        )
-        # The fused kernel's probe tables and mismatch prefilter assume
-        # exact band equality; the tolerant radius-1 join flows through
-        # the per-offset path, whose probes expand the neighbourhood.
-        if self.join == "dict" or not _NATIVE_LITTLE or overridden or self.join_radius_bits:
-            hits = self._find_hits_per_offset(blocks)
-        else:
-            hits = self._find_hits_fused(blocks)
-        hits.sort(key=lambda h: (h.block_index, h.offset, h.round_index))
-        return hits
-
-    def _find_hits_per_offset(self, blocks: np.ndarray) -> list[ScheduleHit]:
-        """The unfused scan: one full-dump join pass per (offset, phase).
-
-        Kept as the ``join="dict"`` reference path (and the big-endian
-        fallback): it re-reads the whole dump once per offset, which the
-        fused scan exists to avoid, but its simplicity makes it the
-        oracle the streaming kernel is pinned against.
-        """
         hits: list[ScheduleHit] = []
-        stage = self.stage_seconds
-        for offset in self.offsets:
-            for phase in self.variant.phases():
-                tick = time.perf_counter()
-                pairs = self._candidate_pairs(blocks, offset, phase)
-                tock = time.perf_counter()
-                stage["join"] += tock - tick
-                hits.extend(self._verify_pairs(blocks, pairs, offset, phase))
-                stage["verify"] += time.perf_counter() - tock
-            if self.on_progress is not None:
-                self.on_progress()
-        return hits
-
-    def _find_hits_fused(self, blocks: np.ndarray) -> list[ScheduleHit]:
-        """Single streaming pass: mine the relation tables of each chunk
-        once, then join and verify every (offset, phase) against them.
-
-        Each 2 MiB chunk of the dump is touched once: its three linear-
-        relation byte streams (and their 2-byte band composition) cover
-        *every* scan offset, so the per-offset fingerprint recompute of
-        the unfused path — 17 full passes over the dump for AES-256 —
-        collapses into one.  Joined pairs then pass the exact mismatch
-        lower bound (:meth:`_prefilter_chunk_pairs`) before the S-box
-        verification, which prunes the ~2^-16-rate band collisions
-        without touching the dump again.  Hit lists are byte-identical
-        to the per-offset path: probe output is in ascending (block,
-        key) order per (offset, phase), verification order per pair is
-        unchanged, and the caller's final sort is stable.
-        """
         if not self.offsets:
-            return []
-        hits: list[ScheduleHit] = []
+            return hits
         n_blocks = blocks.shape[0]
         nk = self.variant.nk
-        phases = self.variant.phases()
-        phase_relations = {
-            phase: _linear_relation_offsets(nk, phase) for phase in phases
-        }
         # Phases with identical relation triples (AES-256's even and
         # odd rounds) see identical fingerprints, so they share the
         # chunk's tables, probes, and prefiltered pairs — only the
         # round verification differs.
         groups: dict[tuple[tuple[int, int, int], ...], list[int]] = {}
-        for phase in phases:
-            groups.setdefault(phase_relations[phase], []).append(phase)
+        for phase in self.variant.phases():
+            groups.setdefault(_linear_relation_offsets(nk, phase), []).append(phase)
         stage = self.stage_seconds
         for start in range(0, n_blocks, SCAN_CHUNK_BLOCKS):
             chunk = blocks[start : start + SCAN_CHUNK_BLOCKS]
@@ -1378,6 +1212,7 @@ class AesKeySearch:
                     stage["verify"] += time.perf_counter() - tick
             if self.on_progress is not None:
                 self.on_progress()
+        hits.sort(key=lambda h: (h.block_index, h.offset, h.round_index))
         return hits
 
     def _relation_tables(
@@ -1423,7 +1258,11 @@ class AesKeySearch:
         no per-offset fingerprint pass — while the key side is the
         cache's direct-address buckets.  Returns ``(n, 2)`` int64
         ``(chunk-local block, key)`` pairs in ascending lexicographic
-        order, exactly as :meth:`_candidate_pairs` would for the chunk.
+        order — the pairs a per-offset hash join of the chunk's
+        fingerprint bands against the keys' would yield.  At
+        ``join_radius_bits == 1`` each block band value also probes its
+        16 single-bit neighbours; probe row ``i`` belongs to block
+        ``i // 17``.
 
         ``memo`` (keyed by the identity of a band's bucket table) skips
         bands already probed for another offset: the cache shares each
@@ -1444,6 +1283,7 @@ class AesKeySearch:
         dtype: type = (
             np.int32 if band_tables[0].shape[1] * n_keys < 2**31 else np.int64
         )
+        n_probes = _RADIUS1_MASKS.size if self.join_radius_bits else 1
         codes: list[np.ndarray] = []
         band = 0
         for table in band_tables:
@@ -1456,15 +1296,17 @@ class AesKeySearch:
                         nonempty = indptr[1:] != indptr[:-1]
                         self._band_nonempty[id(indptr)] = nonempty
                     values = table[offset + 2 * half]
-                    rows = np.flatnonzero(nonempty[values])
-                    if rows.size:
-                        hit_values = values[rows].astype(np.int64)
+                    if n_probes > 1:
+                        values = (values[:, None] ^ _RADIUS1_MASKS).ravel()
+                    probes = np.flatnonzero(nonempty[values])
+                    if probes.size:
+                        hit_values = values[probes].astype(np.int64)
                         left = indptr[hit_values].astype(np.int64)
                         counts = indptr[1:][hit_values]
                         counts = counts.astype(np.int64)
                         counts -= left
                         band_codes = _expand_probe_runs(
-                            rows, left, counts, key_orders[band], n_keys, dtype
+                            probes // n_probes, left, counts, key_orders[band], n_keys, dtype
                         )
                     else:
                         band_codes = _EMPTY_CODES

@@ -1,11 +1,12 @@
-"""The vectorised fingerprint join is *identical* to the seed's dict join.
+"""The fused scan's fingerprint join is *identical* to the seed's dict join.
 
-The sorted join (per-band ``argsort``/``searchsorted``) replaced the
-per-block Python dict join purely for speed; any behavioural difference
-is a bug.  Hypothesis drives both implementations — plus the frozen
-seed code in :mod:`benchmarks.legacy_scan` — across random key/block
-matrices with planted schedules and random decay, asserting the joined
-pairs and the verified hits match exactly (values *and* order).
+The direct-address chunk probe (:meth:`AesKeySearch._probe_chunk`)
+replaced the seed's per-block Python dict join purely for speed; any
+behavioural difference is a bug.  Hypothesis drives both — the seed
+code is frozen in :mod:`benchmarks.legacy_scan` — across random
+key/block matrices with planted schedules and random decay, at join
+radius 0 and 1, asserting the joined pairs and the verified hits match
+exactly (values *and* order).
 """
 
 import sys
@@ -33,9 +34,10 @@ from repro.crypto.aes import expand_key  # noqa: E402
     n_blocks=st.integers(1, 24),
     planted=st.integers(0, 3),
     decay_bits=st.integers(0, 96),
+    join_radius_bits=st.sampled_from((0, 1)),
 )
 def test_sorted_join_matches_dict_join(
-    seed, key_bits, n_keys, n_blocks, planted, decay_bits
+    seed, key_bits, n_keys, n_blocks, planted, decay_bits, join_radius_bits
 ):
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 256, size=(n_keys, 64), dtype=np.uint8)
@@ -54,14 +56,16 @@ def test_sorted_join_matches_dict_join(
         block = int(rng.integers(0, n_blocks))
         blocks[block, int(rng.integers(0, 64))] ^= np.uint8(1 << int(rng.integers(0, 8)))
 
-    fast = AesKeySearch(keys, key_bits=key_bits, join="sorted")
-    dict_join = AesKeySearch(keys, key_bits=key_bits, join="dict")
-    frozen_seed = SeedAesKeySearch(keys, key_bits=key_bits)
+    fast = AesKeySearch(keys, key_bits=key_bits, join_radius_bits=join_radius_bits)
+    frozen_seed = SeedAesKeySearch(
+        keys, key_bits=key_bits, join_radius_bits=join_radius_bits
+    )
 
-    for offset in fast.offsets:
-        for phase in fast.variant.phases():
-            pairs = fast._candidate_pairs(blocks, offset, phase)
-            assert np.array_equal(pairs, dict_join._candidate_pairs(blocks, offset, phase))
+    for phase in fast.variant.phases():
+        # One chunk covering every block, as the fused scan builds it.
+        _, band_tables = fast._relation_tables(blocks, phase)
+        for offset in fast.offsets:
+            pairs = fast._probe_chunk(band_tables, offset, phase)
             assert np.array_equal(pairs, frozen_seed._candidate_pairs(blocks, offset, phase))
             assert fast._verify_pairs(blocks, pairs, offset, phase) == (
                 frozen_seed._verify_pairs(blocks, pairs, offset, phase)

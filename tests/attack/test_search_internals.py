@@ -6,6 +6,8 @@ import pytest
 from repro.attack.aes_search import (
     AesKeySearch,
     AesVariant,
+    KeyFingerprintCache,
+    _fingerprints,
     repair_observed_table,
 )
 from repro.attack.sweep import synthetic_dump
@@ -117,3 +119,24 @@ class TestVariantOffsets:
         assert len(search256.offsets) == 17
         assert max(search128.offsets) + AesVariant(128).span_bytes <= 64
         assert max(search256.offsets) + AesVariant(256).span_bytes <= 64
+
+
+class TestKeyFingerprintCache:
+    @pytest.mark.parametrize("key_bits", [128, 192, 256])
+    def test_band_values_are_little_endian_byte_pairs(self, key_bits):
+        """Cache bands equal ``lo | hi << 8`` — the scan's block-band
+        composition — on every host, before and after a blob round trip."""
+        keys = np.random.default_rng(key_bits).integers(0, 256, (9, 64), dtype=np.uint8)
+        cache = KeyFingerprintCache(keys, key_bits).precompute()
+        attached = KeyFingerprintCache.attach(keys, key_bits, cache.export_blob())
+        variant = AesVariant(key_bits)
+        for offset in (0, 5, 16):
+            for phase in variant.phases():
+                fp = _fingerprints(
+                    keys[:, offset : offset + variant.span_bytes], variant.nk, phase
+                ).astype(np.uint16)
+                expected = fp[:, 0::2] | fp[:, 1::2] << 8
+                assert np.array_equal(cache.bands(offset, phase)[0], expected)
+                from_blob = attached.bands(offset, phase)[0]
+                assert not from_blob.flags.writeable  # a view of the blob
+                assert np.array_equal(from_blob, expected)
