@@ -3,13 +3,15 @@
 :class:`SeedAesKeySearch` restores the hot paths exactly as they
 shipped before the vectorisation PR — the Python dict fingerprint join
 (with its band ``.copy().view(uint16)`` double-copy), the per-round
-verification loop, the pure-Python per-ballot
-``reconstruct_schedule``/``expand_key`` recovery machinery, the
-popcount-table region scoring, and the word-list greedy schedule
+verification loop, the unfiltered neighbour extension, the pure-Python
+per-ballot ``reconstruct_schedule``/``expand_key`` recovery machinery,
+the popcount-table region scoring, and the word-list greedy schedule
 repair.  :func:`legacy_recover_keys` likewise reproduces the seed
 dispatch — pickling every shard's bytes and the whole key matrix into
 each task — and mines with :func:`seed_mine_scrambler_keys`, the dict
 walk + popcount-table merge the vectorised miner replaced.
+:func:`greedy_mine_scrambler_keys` is the per-row greedy merge the
+batched miner replaced: the exactness oracle for its candidates.
 
 Keeping the old code importable (rather than checking out an old
 commit) lets ``benchmarks/harness.py`` measure the speedup *and* assert
@@ -27,6 +29,7 @@ from repro.attack.aes_search import (
     AesVariant,
     RecoveredAesKey,
     ScheduleHit,
+    _all_pairs,
     _fingerprints,
     _t_forward,
 )
@@ -114,6 +117,154 @@ def seed_mine_scrambler_keys(
             )
         )
     candidates.sort(key=lambda c: (-c.count, c.key))
+    return candidates
+
+
+def greedy_mine_scrambler_keys(
+    image: MemoryImage,
+    tolerance_bits: int = 16,
+    merge_radius_bits: int = 16,
+    min_count: int = 1,
+    scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
+) -> list[CandidateKey]:
+    """``mine_scrambler_keys`` as a per-row greedy walk: the exactness oracle.
+
+    This is the miner before its merge was batched.  Unique passing
+    rows are visited in (count desc, lexicographic) order; each merges
+    into the nearest earlier representative within
+    ``merge_radius_bits`` (ties to the lowest representative index) or
+    becomes a new one.  Candidates are then voted and ranked exactly
+    as the production miner does, so its output must match
+    :func:`repro.attack.keymine.mine_scrambler_keys` byte-for-byte.
+    (:func:`seed_mine_scrambler_keys` breaks ranking ties differently
+    and cannot serve as that reference.)
+    """
+    if merge_radius_bits < 0 or tolerance_bits < 0:
+        raise ValueError("tolerances must be non-negative")
+    data = image.data
+    if scan_limit_bytes is not None:
+        data = data[: scan_limit_bytes - scan_limit_bytes % BLOCK_SIZE]
+    matrix = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+    mismatch = key_litmus_mismatch_bits(matrix)
+    passing = matrix[mismatch <= tolerance_bits]
+    if passing.shape[0] == 0:
+        return []
+
+    # Group exact duplicates first — vectorised: np.unique over rows
+    # replaces a Python dict walk of every passing block.  Then merge
+    # near-duplicates.
+    unique_rows, unique_counts = np.unique(passing, axis=0, return_counts=True)
+    # Representatives in descending count order, so the best-supported
+    # version of a key absorbs its decayed variants.  The stable sort
+    # keeps np.unique's lexicographic order as the tie-break, matching
+    # the dict-based ordering this replaced.
+    order = np.argsort(-unique_counts, kind="stable")
+    unique_rows = unique_rows[order]
+    ordered_counts = unique_counts[order].tolist()
+
+    # Greedy nearest-representative merge.  The Hamming distances run on
+    # uint64 views with a hardware popcount — 8 words per key instead of
+    # 64 table lookups.  The candidate set per row comes from an *exact*
+    # banded lookup: split the 64 bytes into ``merge_radius_bits + 1``
+    # disjoint byte bands — by pigeonhole, any representative within the
+    # merge radius matches at least one band byte-for-byte — and keep a
+    # dict per band from band bytes to the representatives holding them.
+    # Each row then measures exact distances only against its few band
+    # candidates instead of every representative, turning the
+    # O(uniques × reps) walk into O(uniques × candidates) with identical
+    # assignments (every in-radius representative is a candidate, and
+    # scanning candidates in ascending index keeps argmin's tie-break).
+    unique_words = unique_rows.view(np.uint64)
+    rep_words = np.empty((len(ordered_counts), BLOCK_SIZE // 8), dtype=np.uint64)
+    n_reps = 0
+    counts: list[int] = []
+    members: list[list[tuple[np.ndarray, int]]] = []
+    # Pigeonhole needs merge_radius_bits + 1 disjoint bands, and bands
+    # are byte-aligned, so radii past 63 bits fall back to the dense
+    # walk (they merge almost everything anyway, so reps stay few).
+    use_bands = 0 < merge_radius_bits < BLOCK_SIZE
+    if use_bands:
+        n_bands = merge_radius_bits + 1
+        edges = np.linspace(0, BLOCK_SIZE, n_bands + 1, dtype=np.int64)
+        band_slices = [slice(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        band_reps: list[dict[bytes, list[int]]] = [{} for _ in band_slices]
+    for index, count in enumerate(ordered_counts):
+        row = unique_rows[index]
+        if n_reps and merge_radius_bits > 0:
+            if use_bands:
+                row_bytes = row.tobytes()
+                candidate_set: set[int] = set()
+                for lookup, band in zip(band_reps, band_slices):
+                    hits = lookup.get(row_bytes[band])
+                    if hits is not None:
+                        candidate_set.update(hits)
+                candidates_idx = sorted(candidate_set)
+                if not candidates_idx:
+                    merged = False
+                else:
+                    distances = np.bitwise_count(
+                        rep_words[candidates_idx] ^ unique_words[index]
+                    ).sum(axis=1, dtype=np.int64)
+                    best_pos = int(np.argmin(distances))
+                    merged = int(distances[best_pos]) <= merge_radius_bits
+                    best = candidates_idx[best_pos]
+            else:
+                distances = np.bitwise_count(rep_words[:n_reps] ^ unique_words[index]).sum(
+                    axis=1, dtype=np.int64
+                )
+                best = int(np.argmin(distances))
+                merged = int(distances[best]) <= merge_radius_bits
+            if merged:
+                counts[best] += count
+                members[best].append((row, count))
+                continue
+        if use_bands:
+            row_bytes = row.tobytes()
+            for lookup, band in zip(band_reps, band_slices):
+                lookup.setdefault(row_bytes[band], []).append(n_reps)
+        rep_words[n_reps] = unique_words[index]
+        n_reps += 1
+        counts.append(count)
+        members.append([(row, count)])
+
+    candidates = []
+    for cluster, count in zip(members, counts):
+        if count < min_count:
+            continue
+        if len(cluster) == 1:
+            # Majority over identical copies is the copy itself.
+            voted = cluster[0][0].tobytes()
+        else:
+            # Expand weighted members for the majority vote (bounded:
+            # decay variants are few; weight caps keep this small).
+            rows = []
+            for row, value_count in cluster:
+                rows.extend([row] * min(value_count, 32))
+            voted = _majority_vote(np.vstack(rows))
+        # Residual mismatch of the vote against its own support: the
+        # decay the vote filtered out.  Weighted exactly as the vote
+        # was, so residual / support_bits estimates the per-bit decay
+        # rate of the blocks behind this candidate.
+        voted_words = np.frombuffer(voted, dtype=np.uint8).view(np.uint64)
+        residual = 0
+        weight_total = 0
+        for row, value_count in cluster:
+            weight = min(value_count, 32)
+            distance = int(np.bitwise_count(row.view(np.uint64) ^ voted_words).sum())
+            residual += weight * distance
+            weight_total += weight
+        candidates.append(
+            CandidateKey(
+                key=voted,
+                count=count,
+                litmus_mismatch_bits=residual,
+                support_bits=8 * BLOCK_SIZE * weight_total,
+            )
+        )
+    # Frequency first (true keys recur); among equally-frequent
+    # candidates the one whose support sits *closest* to its vote wins
+    # — a large residual marks a coincidental merge, not a real key.
+    candidates.sort(key=lambda c: (-c.count, c.litmus_mismatch_bits, c.key))
     return candidates
 
 
@@ -213,6 +364,32 @@ class SeedAesKeySearch(AesKeySearch):
                 self.on_progress()
         hits.sort(key=lambda h: (h.block_index, h.offset, h.round_index))
         return hits
+
+    def _extend_hits(self, blocks: np.ndarray, seeds: list[ScheduleHit]) -> list[ScheduleHit]:
+        """Every (neighbour block, key) pair through the full verification.
+
+        No fingerprint or lower-bound prefilter: the seed's neighbour
+        walk, frozen so the baseline keeps paying its cost.
+        """
+        n_blocks, n_keys = blocks.shape[0], self.keys.shape[0]
+        radius = self.extension_radius_blocks
+        interesting = sorted(
+            {
+                b
+                for hit in seeds
+                for b in range(
+                    max(0, hit.block_index - radius), min(n_blocks, hit.block_index + radius + 1)
+                )
+            }
+        )
+        pairs = _all_pairs(np.asarray(interesting, dtype=np.int64), n_keys)
+        extended: list[ScheduleHit] = []
+        for offset in self.offsets:
+            for phase in self.variant.phases():
+                extended.extend(self._verify_pairs(blocks, pairs, offset, phase))
+            if self.on_progress is not None:
+                self.on_progress()
+        return extended
 
     def _span_score(self, expansion: np.ndarray, spans: list[tuple[int, np.ndarray]]) -> int:
         score = 0

@@ -126,6 +126,11 @@ _DECODE_MAX_COMBOS = 24
 #: without pushing the band tables out of cache.
 SCAN_CHUNK_BLOCKS = 65536
 
+#: (block, key) pairs per prefilter batch of the joinless verification
+#: (neighbour extension, pinned bases): bounds its gathers to a few MiB
+#: however many neighbour blocks and keys there are.
+_NEIGHBOUR_PAIR_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True)
 class AesVariant:
@@ -870,6 +875,78 @@ def reconstruct_schedule(window: list[int], first_index: int, key_bits: int) -> 
     return b"".join(w.to_bytes(4, "big") for w in head + tail)
 
 
+class _RegionScorer:
+    """One table base's region, descrambled under every candidate key.
+
+    ``words[b, w, k]`` is uint64 word ``w`` of region block ``b`` XOR
+    the same word of key ``k``, zeroed outside the schedule's bytes.
+    An expansion laid out at the same alignment (zero outside the
+    schedule too) then scores every (block, key) with one XOR, a
+    popcount and a sum over each block's eight words.
+    """
+
+    def __init__(self, blocks: np.ndarray, keys: np.ndarray, base: int, length: int) -> None:
+        self.length = length
+        first = base // BLOCK_SIZE
+        last = (base + length - 1) // BLOCK_SIZE
+        #: False when the region runs off the image (every score rejects).
+        self.in_image = first >= 0 and last < blocks.shape[0]
+        if not self.in_image:
+            return
+        n_blocks = last - first + 1
+        #: Byte position of the schedule's first byte in the region.
+        self.lead = base - first * BLOCK_SIZE
+        inside = np.zeros(n_blocks * BLOCK_SIZE, dtype=bool)
+        inside[self.lead : self.lead + length] = True
+        inside = inside.reshape(n_blocks, BLOCK_SIZE)
+        self.keys = keys
+        self.observed_blocks = blocks[first : last + 1]
+        region = self.observed_blocks[:, None, :] ^ keys[None, :, :]
+        region &= np.where(inside, 0xFF, 0).astype(np.uint8)[:, None, :]
+        # Words-major per block, so the per-block sum adds whole rows.
+        self.words = np.ascontiguousarray(region.view(np.uint64).transpose(0, 2, 1))
+        #: Schedule bits each region block holds.
+        self.slice_bits = 8 * inside.sum(axis=1)
+
+    def _block_distances(self, expansion: np.ndarray) -> np.ndarray:
+        """``(blocks, keys)`` Hamming distances of one expansion's slices."""
+        placed = np.zeros(self.words.shape[0] * BLOCK_SIZE, dtype=np.uint8)
+        placed[self.lead : self.lead + self.length] = expansion
+        placed_words = placed.view(np.uint64).reshape(-1, BLOCK_SIZE // 8, 1)
+        counts = np.bitwise_count(self.words ^ placed_words)
+        return counts.sum(axis=1, dtype=np.uint16)
+
+    def mismatches(self, expansions: np.ndarray) -> list[tuple[int, int]]:
+        """:meth:`AesKeySearch._region_mismatch` of each expansion row."""
+        rejected = (8 * self.length, 8 * self.length)
+        if not self.in_image:
+            return [rejected] * len(expansions)
+        scores = []
+        for expansion in expansions:
+            best = self._block_distances(expansion).min(axis=1)
+            # Blocks whose key was never mined score no better than
+            # ~35 %; they are skipped rather than counted against.
+            scored = best <= 0.35 * self.slice_bits
+            counted_bits = int(self.slice_bits[scored].sum())
+            if counted_bits < 4 * self.length:  # less than half scoreable
+                scores.append(rejected)
+            else:
+                scores.append((int(best[scored].sum()), counted_bits))
+        return scores
+
+    def observed(self, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """:meth:`AesKeySearch._observed_table` for ``guess``."""
+        if not self.in_image:
+            return None
+        distances = self._block_distances(guess)
+        best_keys = distances.argmin(axis=1)
+        usable = distances.min(axis=1) <= 0.35 * self.slice_bits
+        picked = (self.observed_blocks ^ self.keys[best_keys]).ravel()
+        span = slice(self.lead, self.lead + self.length)
+        known = np.repeat(usable, BLOCK_SIZE)[span]
+        return np.where(known, picked[span], guess).astype(np.uint8), known
+
+
 class AesKeySearch:
     """Scan a scrambled dump for AES schedules, given candidate keys.
 
@@ -1018,6 +1095,8 @@ class AesKeySearch:
         # Worker threads may race to fill an entry; both compute the
         # same array, so last-write-wins is harmless.
         self._band_nonempty: dict[int, np.ndarray] = {}
+        #: (blocks, base, length, scorer) of the last region scored.
+        self._region_cache: tuple | None = None
 
     # ------------------------------------------------------------- matching
 
@@ -1329,6 +1408,7 @@ class AesKeySearch:
         offset: int,
         phases: list[int],
         ts: list[int],
+        tolerance_bits: int | None = None,
     ) -> np.ndarray:
         """Drop joined pairs no round of verification could accept.
 
@@ -1358,9 +1438,12 @@ class AesKeySearch:
         columns are excluded from the bound; phases whose ``t = 0``
         transform is SubWord-only (AES-256 odd rounds) bound all 32
         bits of every word — there the bound *is* the round mismatch.
+
+        ``tolerance_bits`` defaults to the verification budget; pinned
+        verification passes its looser one.
         """
         key_fp = self._key_cache.fingerprint_bytes(offset, phases[0])
-        tolerance = self.verify_tolerance_bits
+        tolerance = self.verify_tolerance_bits if tolerance_bits is None else tolerance_bits
         width = streams.shape[1] // len(ts)
         # Single row gathers: each pair's whole fingerprint neighbourhood
         # (all relations) and its key fingerprint, one take() each —
@@ -1474,14 +1557,14 @@ class AesKeySearch:
     # ------------------------------------------------------------- recovery
 
     def _extend_hits(self, blocks: np.ndarray, seeds: list[ScheduleHit]) -> list[ScheduleHit]:
-        """Re-verify blocks around seed hits without the fingerprint filter.
+        """Re-verify blocks around seed hits without the fingerprint join.
 
         The exact fingerprint join misses windows whose relation bytes
         decayed; the paper's neighbour walk (step 3) recovers them with
         the Hamming-tolerant verification alone, which is affordable on
         the small neighbourhoods of confirmed hits.
         """
-        n_blocks, n_keys = blocks.shape[0], self.keys.shape[0]
+        n_blocks = blocks.shape[0]
         radius = self.extension_radius_blocks
         interesting = sorted(
             {
@@ -1490,14 +1573,59 @@ class AesKeySearch:
                 for b in range(max(0, hit.block_index - radius), min(n_blocks, hit.block_index + radius + 1))
             }
         )
-        pairs = _all_pairs(np.asarray(interesting, dtype=np.int64), n_keys)
-        extended: list[ScheduleHit] = []
+        return self._verify_all_keys(
+            blocks, np.asarray(interesting, dtype=np.int64), self.verify_tolerance_bits
+        )
+
+    def _verify_all_keys(
+        self, blocks: np.ndarray, block_ids: np.ndarray, tolerance_bits: int
+    ) -> list[ScheduleHit]:
+        """Verify every (block, key) pair of ``block_ids``, joinless.
+
+        Every pair goes through the exact mismatch lower bound of the
+        fused scan (:meth:`_prefilter_chunk_pairs`) over the blocks'
+        own relation streams first; the bound never exceeds a round's
+        true mismatch, so only pairs that no round could accept are
+        dropped, and the S-box verification runs on the few survivors.
+        Hits come out per (offset, phase) in ascending (block, key)
+        order — exactly the hits, in the order, of verifying every
+        pair directly.
+        """
+        if not self.offsets or block_ids.size == 0:
+            return []
+        n_keys = self.keys.shape[0]
+        nk = self.variant.nk
+        sub = blocks[block_ids]
+        relations: dict[int, tuple[np.ndarray, list[int]]] = {}
+        for phase in self.variant.phases():
+            streams, _ = self._relation_tables(sub, phase)
+            ts = [(a - 4 * nk) // 4 for a, _, _ in _linear_relation_offsets(nk, phase)]
+            relations[phase] = (streams, ts)
+        step = max(1, _NEIGHBOUR_PAIR_BUDGET // max(1, n_keys))
+        hits: list[ScheduleHit] = []
         for offset in self.offsets:
             for phase in self.variant.phases():
-                extended.extend(self._verify_pairs(blocks, pairs, offset, phase))
+                streams, ts = relations[phase]
+                survivors = [
+                    self._prefilter_chunk_pairs(
+                        sub,
+                        streams,
+                        _all_pairs(np.arange(lo, min(lo + step, sub.shape[0])), n_keys),
+                        offset,
+                        [phase],
+                        ts,
+                        tolerance_bits,
+                    )
+                    for lo in range(0, sub.shape[0], step)
+                ]
+                pairs = np.concatenate(survivors)
+                pairs[:, 0] = block_ids[pairs[:, 0]]
+                hits.extend(
+                    self._verify_pairs(blocks, pairs, offset, phase, tolerance_bits)
+                )
             if self.on_progress is not None:
                 self.on_progress()
-        return extended
+        return hits
 
     def _flip_matrix(self, n_bytes: int) -> np.ndarray:
         """Rows of single-bit flips over ``n_bytes`` (bit 0 = MSB of byte 0)."""
@@ -1564,6 +1692,25 @@ class AesKeySearch:
             score += int(np.bitwise_count(expected ^ span).sum())
         return score
 
+    def _region_scorer(self, blocks: np.ndarray, base: int, length: int) -> _RegionScorer:
+        """The :class:`_RegionScorer` of ``base``, reused across calls.
+
+        Recovery scores many candidates against one base before moving
+        to the next, so one cached region serves them all.
+        """
+        cached = self._region_cache
+        if cached is not None and cached[0] is blocks and cached[1:3] == (base, length):
+            return cached[3]
+        scorer = _RegionScorer(blocks, self.keys, base, length)
+        self._region_cache = (blocks, base, length, scorer)
+        return scorer
+
+    def _region_mismatches(
+        self, blocks: np.ndarray, base: int, expansions: np.ndarray
+    ) -> list[tuple[int, int]]:
+        """:meth:`_region_mismatch` of each row of ``expansions``, in one call."""
+        return self._region_scorer(blocks, base, expansions.shape[1]).mismatches(expansions)
+
     def _region_mismatch(
         self, blocks: np.ndarray, base: int, expansion: np.ndarray
     ) -> tuple[int, int]:
@@ -1579,32 +1726,10 @@ class AesKeySearch:
         excluded from the score rather than counted against it — the
         miner cannot expose a key whose index never held a zero page.
         At least half the region must remain scoreable, or the candidate
-        is rejected outright.
+        is rejected outright.  A region that runs off the image is
+        rejected too.
         """
-        length = len(expansion)
-        first = base // BLOCK_SIZE
-        last = (base + length - 1) // BLOCK_SIZE
-        if first < 0 or last >= blocks.shape[0]:
-            return (8 * length, 8 * length)  # runs off the image: reject
-        mismatch = 0
-        counted_bits = 0
-        for b in range(first, last + 1):
-            lo = max(base, b * BLOCK_SIZE)
-            hi = min(base + length, (b + 1) * BLOCK_SIZE)
-            expected = expansion[lo - base : hi - base]
-            observed = blocks[b, lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE]
-            per_key = np.bitwise_count(
-                (observed ^ self.keys[:, lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE]) ^ expected
-            ).sum(axis=1, dtype=np.int64)
-            best = int(per_key.min())
-            slice_bits = 8 * (hi - lo)
-            if best > 0.35 * slice_bits:
-                continue  # this block's key was never mined; skip it
-            mismatch += best
-            counted_bits += slice_bits
-        if counted_bits < 4 * length:  # less than half the region scoreable
-            return (8 * length, 8 * length)
-        return (mismatch, counted_bits)
+        return self._region_mismatches(blocks, base, expansion[None, :])[0]
 
     def _observed_table(
         self, blocks: np.ndarray, base: int, guess: np.ndarray
@@ -1621,34 +1746,10 @@ class AesKeySearch:
         (their index never exposed a zero page — which happens when the
         key table itself overwrote the only zero page of its index) are
         filled from the guess and marked unknown, so the ballot and
-        repair stages never trust them.
+        repair stages never trust them.  ``None`` when the region runs
+        off the image.
         """
-        length = len(guess)
-        first = base // BLOCK_SIZE
-        last = (base + length - 1) // BLOCK_SIZE
-        if first < 0 or last >= blocks.shape[0]:
-            return None
-        pieces = []
-        known_pieces = []
-        for b in range(first, last + 1):
-            lo = max(base, b * BLOCK_SIZE)
-            hi = min(base + length, (b + 1) * BLOCK_SIZE)
-            observed = blocks[b, lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE]
-            per_key = np.bitwise_count(
-                (observed ^ self.keys[:, lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE])
-                ^ guess[lo - base : hi - base]
-            ).sum(axis=1, dtype=np.int64)
-            best = int(per_key.min())
-            if best > 0.35 * 8 * (hi - lo):
-                pieces.append(guess[lo - base : hi - base].copy())
-                known_pieces.append(np.zeros(hi - lo, dtype=bool))
-            else:
-                pieces.append(
-                    observed
-                    ^ self.keys[int(per_key.argmin()), lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE]
-                )
-                known_pieces.append(np.ones(hi - lo, dtype=bool))
-        return np.concatenate(pieces), np.concatenate(known_pieces)
+        return self._region_scorer(blocks, base, len(guess)).observed(guess)
 
     def _decode_table(
         self,
@@ -2120,10 +2221,13 @@ class AesKeySearch:
         def consider(scored: dict[bytes, int], expansions: dict[bytes, np.ndarray]) -> None:
             """Region-confirm the span-score-ranked ballots."""
             nonlocal best_master, best_fraction, best_agreement, best_counted_bits
-            for master, _span_score in sorted(scored.items(), key=lambda item: item[1])[:8]:
-                mismatch, counted_bits = self._region_mismatch(
-                    blocks, base, expansions[master]
-                )
+            ranked = [master for master, _ in sorted(scored.items(), key=lambda item: item[1])[:8]]
+            if not ranked:
+                return
+            region_scores = self._region_mismatches(
+                blocks, base, np.stack([expansions[master] for master in ranked])
+            )
+            for master, (mismatch, counted_bits) in zip(ranked, region_scores):
                 fraction = mismatch / counted_bits
                 if fraction < best_fraction:
                     best_fraction = fraction
@@ -2299,20 +2403,12 @@ class AesKeySearch:
         last = (base + schedule_len - 1) // BLOCK_SIZE
         if first < 0 or last >= blocks.shape[0]:
             return []
-        pairs = _all_pairs(
-            np.arange(first, last + 1, dtype=np.int64), self.keys.shape[0]
-        )
-        hits: list[ScheduleHit] = []
-        for offset in self.offsets:
-            for phase in variant.phases():
-                for hit in self._verify_pairs(
-                    blocks, pairs, offset, phase, tolerance_bits=tolerance_bits
-                ):
-                    if hit.table_base == base:
-                        hits.append(hit)
-            if self.on_progress is not None:
-                self.on_progress()
-        return hits
+        region = np.arange(first, last + 1, dtype=np.int64)
+        return [
+            hit
+            for hit in self._verify_all_keys(blocks, region, tolerance_bits)
+            if hit.table_base == base
+        ]
 
     def _competitive_overlap_filter(
         self, recovered: list[RecoveredAesKey]

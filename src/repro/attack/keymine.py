@@ -73,6 +73,245 @@ def _majority_vote(members: np.ndarray) -> bytes:
     return np.packbits(voted).tobytes()
 
 
+#: Unique rows per merge batch: each batch is band-joined against the
+#: representatives that existed before it.
+_MERGE_CHUNK_ROWS = 4096
+#: Candidate (row, representative) pairs measured per distance batch;
+#: bounds the gathers of one band join (1 MiB each) however skewed the
+#: band values.
+_MERGE_PAIR_BUDGET = 1 << 14
+#: Member rows per pass of the streaming majority vote.
+_VOTE_CHUNK_ROWS = 512
+#: Cap on one distinct value's weight in the vote (and the residual).
+_VOTE_WEIGHT_CAP = 32
+
+
+def _band_keys(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``(n_bands, n)`` uint64 digests of each row's band bytes.
+
+    Equal band bytes give equal digests.  Unequal bands may collide,
+    which only adds a candidate that the exact distance then rules out.
+    """
+    weights = np.cumprod(np.full(BLOCK_SIZE, 0x100000001B3, dtype=np.uint64))
+    digests = np.add.reduceat(rows.astype(np.uint64) * weights, edges[:-1], axis=1)
+    return np.ascontiguousarray(digests.T)
+
+
+def _expand_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i] + 0 .. counts[i]-1`` for every ``i``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(int(ends[-1]))
+
+
+class _BandIndex:
+    """Per-band sorted digests of a row set, for exact radius joins.
+
+    With ``radius + 1`` disjoint bands, any row within ``radius`` bits
+    of an indexed row matches it on at least one band (pigeonhole), so
+    the band matches are a superset of the in-radius rows.
+    """
+
+    def __init__(self, n_bands: int) -> None:
+        self.keys = [np.empty(0, dtype=np.uint64) for _ in range(n_bands)]
+        self.rows = [np.empty(0, dtype=np.int64) for _ in range(n_bands)]
+
+    def add(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Index ``rows`` (row positions) under their ``(n_bands, n)`` digests."""
+        for band, band_keys in enumerate(keys):
+            order = np.argsort(band_keys, kind="stable")
+            at = np.searchsorted(self.keys[band], band_keys[order], side="right")
+            self.keys[band] = np.insert(self.keys[band], at, band_keys[order])
+            self.rows[band] = np.insert(self.rows[band], at, rows[order])
+
+    def within(
+        self, words: np.ndarray, query: np.ndarray, keys: np.ndarray, radius: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (query, indexed row) pair within ``radius`` bits.
+
+        ``query`` holds row positions into ``words`` (the uint64 view of
+        all unique rows) and ``keys`` their band digests.  Returns
+        ``(query slot, indexed row position, distance)``, possibly with
+        repeats when several bands match the same pair.
+        """
+        empty = np.empty(0, dtype=np.int64)
+        if not self.keys[0].size:
+            return empty, empty, empty
+        lefts, counts = [], []
+        for band, band_keys in enumerate(keys):
+            indexed = self.keys[band]
+            left = np.searchsorted(indexed, band_keys, side="left")
+            count = np.zeros(len(band_keys), dtype=np.int64)
+            # Most probes miss; only the hits need the run's far end.
+            hit = np.flatnonzero(indexed.take(left, mode="clip") == band_keys)
+            if hit.size:
+                right = np.searchsorted(indexed, band_keys[hit], side="right")
+                count[hit] = right - left[hit]
+            lefts.append(left)
+            counts.append(count)
+        load = np.cumsum(sum(counts))
+        if not load.size or load[-1] == 0:
+            return empty, empty, empty
+        cuts = np.unique(
+            np.searchsorted(load, np.arange(_MERGE_PAIR_BUDGET, load[-1], _MERGE_PAIR_BUDGET))
+        )
+        bounds = [0, *(int(c) + 1 for c in cuts if c + 1 < len(load)), len(load)]
+        out_q, out_t, out_d = [], [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            slots, targets = [], []
+            for band in range(len(keys)):
+                band_counts = counts[band][lo:hi]
+                hit = np.flatnonzero(band_counts)
+                if hit.size:
+                    slots.append(np.repeat(hit + lo, band_counts[hit]))
+                    positions = _expand_runs(lefts[band][lo:hi][hit], band_counts[hit])
+                    targets.append(self.rows[band][positions])
+            if not slots:
+                continue
+            q = np.concatenate(slots)
+            t = np.concatenate(targets)
+            d = np.bitwise_count(words[query[q]] ^ words[t]).sum(axis=1, dtype=np.int64)
+            keep = d <= radius
+            out_q.append(q[keep])
+            out_t.append(t[keep])
+            out_d.append(d[keep])
+        if not out_q:
+            return empty, empty, empty
+        return np.concatenate(out_q), np.concatenate(out_t), np.concatenate(out_d)
+
+
+def _nearest(
+    n: int, q: np.ndarray, t: np.ndarray, d: np.ndarray, n_rows: int, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per query slot, the (distance, row) minimum of its pairs.
+
+    ``t`` indexes ``n_rows`` rows and ``d`` is at most ``radius``.
+    Slots without pairs get distance ``-1`` and row ``-1``.
+    """
+    best_d = np.full(n, -1, dtype=np.int64)
+    best_t = np.full(n, -1, dtype=np.int64)
+    if q.size:
+        # One int64 sort key orders pairs by (slot, distance, row).
+        codes = np.sort((q * (radius + 1) + d) * n_rows + t)
+        slot_dist, rows = np.divmod(codes, n_rows)
+        slots, dists = np.divmod(slot_dist, radius + 1)
+        first = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
+        best_d[slots[first]] = dists[first]
+        best_t[slots[first]] = rows[first]
+    return best_d, best_t
+
+
+def _merge_banded(unique_rows: np.ndarray, radius: int) -> np.ndarray:
+    """The greedy merge, batched: each row's representative's position.
+
+    Rows are taken in order; a row merges into the nearest earlier
+    *representative* within ``radius`` bits (ties to the earliest), or
+    becomes a representative itself.  Each chunk of rows is band-joined
+    against the representatives of earlier chunks at once.  Rows with
+    no such match are resolved among themselves in order: a row whose
+    earlier in-chunk neighbours include a representative merges into
+    the nearest one, otherwise it is a new representative.  Finally, a
+    row matched to an earlier-chunk representative moves to a new
+    in-chunk representative that precedes it and is strictly closer.
+    """
+    n = unique_rows.shape[0]
+    words = unique_rows.view(np.uint64)
+    edges = np.linspace(0, BLOCK_SIZE, radius + 2, dtype=np.int64)
+    reps = _BandIndex(radius + 1)
+    rep_of = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _MERGE_CHUNK_ROWS):
+        rows = np.arange(start, min(n, start + _MERGE_CHUNK_ROWS), dtype=np.int64)
+        keys = _band_keys(unique_rows[rows], edges)
+        best_d, best_t = _nearest(
+            len(rows), *reps.within(words, rows, keys, radius), n, radius
+        )
+        rep_of[rows] = best_t
+
+        # Rows no earlier representative claims: resolve in order.
+        loose = np.flatnonzero(best_t < 0)
+        local = _BandIndex(radius + 1)
+        local.add(keys[:, loose], rows[loose])
+        q, t, d = local.within(words, rows[loose], keys[:, loose], radius)
+        earlier = t < rows[loose[q]]
+        q, t, d = q[earlier], t[earlier], d[earlier]
+        is_rep = np.zeros(len(rows), dtype=bool)
+        is_rep[loose] = True
+        if q.size:
+            # Pairs in (row, distance, neighbour) order: each row takes
+            # its first neighbour that is (still) a representative.
+            order = np.lexsort((t, d, q))
+            flags = is_rep.tolist()
+            merged_row = -1
+            for row, target in zip(rows[loose[q[order]]].tolist(), t[order].tolist()):
+                if row != merged_row and flags[target - start]:
+                    flags[row - start] = False
+                    rep_of[row] = target
+                    merged_row = row
+            is_rep = np.asarray(flags, dtype=bool)
+        fresh = np.flatnonzero(is_rep)
+        rep_of[rows[fresh]] = rows[fresh]
+
+        # Rows already claimed by an earlier chunk: a closer new
+        # representative that precedes them takes them instead.
+        claimed = np.flatnonzero(best_t >= 0)
+        if claimed.size and fresh.size:
+            local = _BandIndex(radius + 1)
+            local.add(keys[:, fresh], rows[fresh])
+            q, t, d = local.within(words, rows[claimed], keys[:, claimed], radius)
+            better = (t < rows[claimed[q]]) & (d < best_d[claimed[q]])
+            _, near_t = _nearest(claimed.size, q[better], t[better], d[better], n, radius)
+            moved = near_t >= 0
+            rep_of[rows[claimed[moved]]] = near_t[moved]
+        reps.add(keys[:, fresh], rows[fresh])
+    return rep_of
+
+
+def _weighted_majority(
+    members: np.ndarray, weights: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Bitwise weighted majority of each contiguous member run.
+
+    ``members`` is ``(n, 64)`` uint8, grouped so cluster ``k`` owns rows
+    ``starts[k]`` up to the next start; ``weights`` are at most
+    :data:`_VOTE_WEIGHT_CAP`.  A bit is set when its weighted count
+    reaches half the cluster's total weight — the majority of the rows
+    expanded ``weight`` times, as :func:`_majority_vote` takes it.  Rows
+    stream through in chunks; a cluster that spans chunks carries its
+    partial sum forward, so memory stays bounded however large one
+    cluster grows.  Returns the ``(clusters, 64)`` uint8 votes.
+    """
+    n = members.shape[0]
+    ends = np.append(starts[1:], n)
+    # 2·sum >= total  <=>  sum >= ceil(total / 2).
+    thresholds = (np.add.reduceat(weights, starts) + 1) // 2
+    voted = np.empty((len(starts), BLOCK_SIZE), dtype=np.uint8)
+    small_weights = weights.astype(np.uint8)
+    carried = np.zeros(8 * BLOCK_SIZE, dtype=np.int64)
+    for lo in range(0, n, _VOTE_CHUNK_ROWS):
+        hi = min(n, lo + _VOTE_CHUNK_ROWS)
+        bits = np.unpackbits(members[lo:hi], axis=1)
+        bits *= small_weights[lo:hi, None]
+        # Clusters first..last-1 overlap this chunk; only the first may
+        # have started in an earlier chunk, so the others' sums fit
+        # uint16 (at most chunk rows × weight cap).
+        first = int(np.searchsorted(starts, lo, side="right")) - 1
+        last = int(np.searchsorted(starts, hi, side="left"))
+        cuts = np.maximum(starts[first:last], lo) - lo
+        sums = np.add.reduceat(bits, cuts, axis=0, dtype=np.uint16)
+        head = carried + sums[0]
+        done = last if ends[last - 1] <= hi else last - 1
+        if done > first:
+            voted[first] = np.packbits(head >= thresholds[first])
+            inner = slice(first + 1, done)
+            voted[inner] = np.packbits(
+                sums[1 : done - first] >= thresholds[inner, None].astype(np.uint16), axis=1
+            )
+        if done == last:
+            carried = np.zeros_like(carried)
+        else:
+            carried = head if last - first == 1 else sums[-1].astype(np.int64)
+    return voted
+
+
 def mine_scrambler_keys(
     image: MemoryImage,
     tolerance_bits: int = 16,
@@ -86,6 +325,12 @@ def mine_scrambler_keys(
     is the litmus decay budget per block; ``merge_radius_bits`` bounds
     the Hamming distance at which two passing blocks are treated as
     noisy copies of the same key.
+
+    The merge is greedy and order-defined: distinct passing rows are
+    taken by descending count, then lexicographically; each one merges
+    into the nearest earlier representative within
+    ``merge_radius_bits`` (ties to the earliest representative) or
+    becomes a representative itself.
     """
     if merge_radius_bits < 0 or tolerance_bits < 0:
         raise ValueError("tolerances must be non-negative")
@@ -98,117 +343,76 @@ def mine_scrambler_keys(
     if passing.shape[0] == 0:
         return []
 
-    # Group exact duplicates first — vectorised: np.unique over rows
-    # replaces a Python dict walk of every passing block.  Then merge
-    # near-duplicates.
-    unique_rows, unique_counts = np.unique(passing, axis=0, return_counts=True)
-    # Representatives in descending count order, so the best-supported
-    # version of a key absorbs its decayed variants.  The stable sort
-    # keeps np.unique's lexicographic order as the tie-break, matching
-    # the dict-based ordering this replaced.
+    # Exact duplicates first: np.unique over a 64-byte void view sorts
+    # rows in lexicographic byte order, like np.unique(axis=0), at a
+    # fraction of the cost.
+    distinct, unique_counts = np.unique(
+        np.ascontiguousarray(passing).view(f"V{BLOCK_SIZE}").ravel(), return_counts=True
+    )
+    # The merge order: descending count, lexicographic among equals
+    # (the stable sort keeps np.unique's order as the tie-break).
     order = np.argsort(-unique_counts, kind="stable")
-    unique_rows = unique_rows[order]
-    ordered_counts = unique_counts[order].tolist()
+    unique_rows = distinct.view(np.uint8).reshape(-1, BLOCK_SIZE)[order]
+    counts = unique_counts[order].astype(np.int64)
 
-    # Greedy nearest-representative merge.  The Hamming distances run on
-    # uint64 views with a hardware popcount — 8 words per key instead of
-    # 64 table lookups.  The candidate set per row comes from an *exact*
-    # banded lookup: split the 64 bytes into ``merge_radius_bits + 1``
-    # disjoint byte bands — by pigeonhole, any representative within the
-    # merge radius matches at least one band byte-for-byte — and keep a
-    # dict per band from band bytes to the representatives holding them.
-    # Each row then measures exact distances only against its few band
-    # candidates instead of every representative, turning the
-    # O(uniques × reps) walk into O(uniques × candidates) with identical
-    # assignments (every in-radius representative is a candidate, and
-    # scanning candidates in ascending index keeps argmin's tie-break).
-    unique_words = unique_rows.view(np.uint64)
-    rep_words = np.empty((len(ordered_counts), BLOCK_SIZE // 8), dtype=np.uint64)
-    n_reps = 0
-    counts: list[int] = []
-    members: list[list[tuple[np.ndarray, int]]] = []
-    # Pigeonhole needs merge_radius_bits + 1 disjoint bands, and bands
-    # are byte-aligned, so radii past 63 bits fall back to the dense
-    # walk (they merge almost everything anyway, so reps stay few).
-    use_bands = 0 < merge_radius_bits < BLOCK_SIZE
-    if use_bands:
-        n_bands = merge_radius_bits + 1
-        edges = np.linspace(0, BLOCK_SIZE, n_bands + 1, dtype=np.int64)
-        band_slices = [slice(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-        band_reps: list[dict[bytes, list[int]]] = [{} for _ in band_slices]
-    for index, count in enumerate(ordered_counts):
-        row = unique_rows[index]
-        if n_reps and merge_radius_bits > 0:
-            if use_bands:
-                row_bytes = row.tobytes()
-                candidate_set: set[int] = set()
-                for lookup, band in zip(band_reps, band_slices):
-                    hits = lookup.get(row_bytes[band])
-                    if hits is not None:
-                        candidate_set.update(hits)
-                candidates_idx = sorted(candidate_set)
-                if not candidates_idx:
-                    merged = False
-                else:
-                    distances = np.bitwise_count(
-                        rep_words[candidates_idx] ^ unique_words[index]
-                    ).sum(axis=1, dtype=np.int64)
-                    best_pos = int(np.argmin(distances))
-                    merged = int(distances[best_pos]) <= merge_radius_bits
-                    best = candidates_idx[best_pos]
-            else:
-                distances = np.bitwise_count(rep_words[:n_reps] ^ unique_words[index]).sum(
-                    axis=1, dtype=np.int64
-                )
+    if merge_radius_bits == 0:
+        rep_of = np.arange(len(counts), dtype=np.int64)
+    elif merge_radius_bits < BLOCK_SIZE:
+        rep_of = _merge_banded(unique_rows, merge_radius_bits)
+    else:
+        # Byte-aligned pigeonhole bands stop at 64, so wider radii take
+        # the dense per-row walk (they merge almost everything anyway,
+        # so the representatives stay few).
+        unique_words = unique_rows.view(np.uint64)
+        rep_words = np.empty_like(unique_words)
+        rep_rows: list[int] = []
+        rep_of = np.empty(len(counts), dtype=np.int64)
+        for index in range(len(counts)):
+            if rep_rows:
+                distances = np.bitwise_count(
+                    rep_words[: len(rep_rows)] ^ unique_words[index]
+                ).sum(axis=1, dtype=np.int64)
                 best = int(np.argmin(distances))
-                merged = int(distances[best]) <= merge_radius_bits
-            if merged:
-                counts[best] += count
-                members[best].append((row, count))
-                continue
-        if use_bands:
-            row_bytes = row.tobytes()
-            for lookup, band in zip(band_reps, band_slices):
-                lookup.setdefault(row_bytes[band], []).append(n_reps)
-        rep_words[n_reps] = unique_words[index]
-        n_reps += 1
-        counts.append(count)
-        members.append([(row, count)])
+                if int(distances[best]) <= merge_radius_bits:
+                    rep_of[index] = rep_rows[best]
+                    continue
+            rep_words[len(rep_rows)] = unique_words[index]
+            rep_of[index] = index
+            rep_rows.append(index)
 
-    candidates = []
-    for cluster, count in zip(members, counts):
-        if count < min_count:
-            continue
-        if len(cluster) == 1:
-            # Majority over identical copies is the copy itself.
-            voted = cluster[0][0].tobytes()
-        else:
-            # Expand weighted members for the majority vote (bounded:
-            # decay variants are few; weight caps keep this small).
-            rows = []
-            for row, value_count in cluster:
-                rows.extend([row] * min(value_count, 32))
-            voted = _majority_vote(np.vstack(rows))
-        # Residual mismatch of the vote against its own support: the
-        # decay the vote filtered out.  Weighted exactly as the vote
-        # was, so residual / support_bits estimates the per-bit decay
-        # rate of the blocks behind this candidate.
-        voted_words = np.frombuffer(voted, dtype=np.uint8).view(np.uint64)
-        residual = 0
-        weight_total = 0
-        for row, value_count in cluster:
-            weight = min(value_count, 32)
-            distance = int(np.bitwise_count(row.view(np.uint64) ^ voted_words).sum())
-            residual += weight * distance
-            weight_total += weight
-        candidates.append(
-            CandidateKey(
-                key=voted,
-                count=count,
-                litmus_mismatch_bits=residual,
-                support_bits=8 * BLOCK_SIZE * weight_total,
-            )
+    # Clusters in representative order, members contiguous.
+    members = np.argsort(rep_of, kind="stable")
+    _, starts = np.unique(rep_of[members], return_index=True)
+    member_rows = unique_rows[members]
+    weights = np.minimum(counts[members], _VOTE_WEIGHT_CAP)
+    voted = _weighted_majority(member_rows, weights, starts)
+    # Residual mismatch of each vote against its own support: the
+    # decay the vote filtered out.  Weighted exactly as the vote was,
+    # so residual / support_bits estimates the per-bit decay rate of
+    # the blocks behind the candidate.
+    cluster = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(members))))
+    distances = np.empty(len(members), dtype=np.int64)
+    member_words = member_rows.view(np.uint64)
+    voted_words = voted.view(np.uint64)
+    for lo in range(0, len(members), _MERGE_PAIR_BUDGET):
+        hi = lo + _MERGE_PAIR_BUDGET
+        distances[lo:hi] = np.bitwise_count(
+            member_words[lo:hi] ^ voted_words[cluster[lo:hi]]
+        ).sum(axis=1, dtype=np.int64)
+    residuals = np.add.reduceat(weights * distances, starts).tolist()
+    support = np.add.reduceat(weights, starts).tolist()
+    cluster_counts = np.add.reduceat(counts[members], starts).tolist()
+
+    candidates = [
+        CandidateKey(
+            key=voted[k].tobytes(),
+            count=cluster_counts[k],
+            litmus_mismatch_bits=residuals[k],
+            support_bits=8 * BLOCK_SIZE * support[k],
         )
+        for k in range(len(starts))
+        if cluster_counts[k] >= min_count
+    ]
     # Frequency first (true keys recur); among equally-frequent
     # candidates the one whose support sits *closest* to its vote wins
     # — a large residual marks a coincidental merge, not a real key.

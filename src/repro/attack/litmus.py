@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.bits import POPCOUNT_TABLE
 from repro.util.blocks import BLOCK_SIZE, as_block_matrix
 
 #: The §III-B invariants as byte offsets within a 16-byte sub-word:
@@ -47,6 +46,10 @@ INVARIANT_WORD_OFFSETS: tuple[tuple[int, int, int, int], ...] = (
 #: Sub-word starting offsets within the 64-byte key.
 SUB_WORD_OFFSETS: tuple[int, ...] = (0, 16, 32, 48)
 
+#: Blocks per pass of :func:`key_litmus_mismatch_bits` (1 MiB of
+#: gathered invariant words per temporary).
+_LITMUS_CHUNK_ROWS = 1 << 15
+
 
 def key_litmus_mismatch_bits(blocks: bytes | np.ndarray) -> np.ndarray:
     """Total invariant-violation bits for each 64-byte block.
@@ -58,12 +61,26 @@ def key_litmus_mismatch_bits(blocks: bytes | np.ndarray) -> np.ndarray:
     matrix = as_block_matrix(blocks) if not isinstance(blocks, np.ndarray) else blocks
     if matrix.ndim != 2 or matrix.shape[1] != BLOCK_SIZE:
         raise ValueError(f"expected (n, {BLOCK_SIZE}) blocks, got {matrix.shape}")
-    mismatch = np.zeros(matrix.shape[0], dtype=np.int64)
-    for base in SUB_WORD_OFFSETS:
-        for a, b, c, d in INVARIANT_WORD_OFFSETS:
-            lhs = matrix[:, base + a : base + a + 2] ^ matrix[:, base + b : base + b + 2]
-            rhs = matrix[:, base + c : base + c + 2] ^ matrix[:, base + d : base + d + 2]
-            mismatch += POPCOUNT_TABLE[lhs ^ rhs].sum(axis=1, dtype=np.int64)
+    # Every invariant XORs four 2-byte words at even offsets, so each
+    # block is read as 32 uint16 words: column j of ``words[:, a]`` is
+    # the j-th invariant's first operand, and so on.
+    a, b, c, d = (
+        [
+            (base + offsets[k]) // 2
+            for base in SUB_WORD_OFFSETS
+            for offsets in INVARIANT_WORD_OFFSETS
+        ]
+        for k in range(4)
+    )
+    mismatch = np.empty(matrix.shape[0], dtype=np.int64)
+    for lo in range(0, matrix.shape[0], _LITMUS_CHUNK_ROWS):
+        words = np.ascontiguousarray(matrix[lo : lo + _LITMUS_CHUNK_ROWS]).view(np.uint16)
+        residual = words[:, a] ^ words[:, b]
+        residual ^= words[:, c]
+        residual ^= words[:, d]
+        mismatch[lo : lo + _LITMUS_CHUNK_ROWS] = np.bitwise_count(residual).sum(
+            axis=1, dtype=np.int64
+        )
     return mismatch
 
 

@@ -67,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.attack.aes_search import AesKeySearch, KeyFingerprintCache, RecoveredAesKey
-from repro.attack.keymine import keys_matrix, mine_scrambler_keys
+from repro.attack.keymine import DEFAULT_SCAN_LIMIT_BYTES, keys_matrix, mine_scrambler_keys
 from repro.crypto.aes import schedule_bytes
 from repro.dram.image import MemoryImage
 from repro.resilience.checkpoint import CheckpointJournal, JournalHeader, dump_fingerprint
@@ -463,6 +463,9 @@ def resilient_recover_keys(
     workers: int = 1,
     n_shards: int | None = None,
     mining_tolerance_bits: int = 16,
+    mining_merge_radius_bits: int = 16,
+    mining_min_count: int = 1,
+    mining_scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
     retry_policy: RetryPolicy | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = True,
@@ -499,6 +502,10 @@ def resilient_recover_keys(
     killable workers, and ``"auto"`` (default) uses threads unless the
     run needs process isolation — a stall watchdog or a fault plan with
     process-level (``kill``/``hang``) faults.
+
+    The ``mining_*`` arguments are :func:`mine_scrambler_keys`'s
+    budgets (litmus tolerance, merge radius, minimum count, scan
+    limit), as :class:`~repro.attack.pipeline.AttackConfig` sets them.
     """
     if workers < 1:
         raise ShardLayoutError("need at least one worker")
@@ -516,7 +523,13 @@ def resilient_recover_keys(
     deadline = Deadline.coerce(deadline)
     deadline_seconds = deadline.total_seconds if deadline is not None else None
     start = time.perf_counter()
-    candidates = mine_scrambler_keys(dump, tolerance_bits=mining_tolerance_bits)
+    candidates = mine_scrambler_keys(
+        dump,
+        tolerance_bits=mining_tolerance_bits,
+        merge_radius_bits=mining_merge_radius_bits,
+        min_count=mining_min_count,
+        scan_limit_bytes=mining_scan_limit_bytes,
+    )
     mine_seconds = time.perf_counter() - start
     if not candidates:
         return ScanReport(

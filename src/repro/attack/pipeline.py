@@ -340,6 +340,9 @@ class Ddr4ColdBootAttack:
             workers=workers,
             n_shards=n_shards,
             mining_tolerance_bits=config.litmus_tolerance_bits,
+            mining_merge_radius_bits=config.merge_radius_bits,
+            mining_min_count=config.min_key_count,
+            mining_scan_limit_bytes=config.key_scan_limit_bytes,
             retry_policy=retry_policy,
             checkpoint=checkpoint,
             resume=resume,

@@ -92,6 +92,26 @@ class TestVectorisedScan:
         with pytest.raises(ValueError):
             key_litmus_mismatch_bits(np.zeros((4, 32), dtype=np.uint8))
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(0, 300), step=st.integers(1, 3))
+    def test_word_scan_matches_byte_pair_reference(self, seed, n_blocks, step):
+        """The uint16-word scan equals the byte-pair popcount-table sum,
+        on strided (non-contiguous) matrices too."""
+        from repro.attack.litmus import SUB_WORD_OFFSETS
+        from repro.util.bits import POPCOUNT_TABLE
+
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 256, size=(n_blocks * step, 64), dtype=np.uint8)[::step]
+        matrix[::5] = 0  # some passing blocks, with a few flips
+        matrix[::7, rng.integers(0, 64)] ^= 0x10
+        expected = np.zeros(matrix.shape[0], dtype=np.int64)
+        for base in SUB_WORD_OFFSETS:
+            for a, b, c, d in INVARIANT_WORD_OFFSETS:
+                lhs = matrix[:, base + a : base + a + 2] ^ matrix[:, base + b : base + b + 2]
+                rhs = matrix[:, base + c : base + c + 2] ^ matrix[:, base + d : base + d + 2]
+                expected += POPCOUNT_TABLE[lhs ^ rhs].sum(axis=1, dtype=np.int64)
+        assert np.array_equal(key_litmus_mismatch_bits(matrix), expected)
+
     def test_wrong_block_length_rejected(self):
         with pytest.raises(ValueError):
             passes_key_litmus(bytes(32))

@@ -57,6 +57,20 @@ class TestPipeline:
         # The cap only limits the search stage, not mining.
         assert len(report.candidate_keys) > 10
 
+    def test_sharded_run_mines_with_the_whole_config(self):
+        """``run_sharded`` honours every mining budget ``run`` does."""
+        dump, _ = scrambled_dump_with_volume(boot_seed=12, zero_every=2)
+        config = AttackConfig(
+            litmus_tolerance_bits=24,
+            merge_radius_bits=8,
+            min_key_count=2,
+            key_scan_limit_bytes=2 * 4096 * 64,
+        )
+        attack = Ddr4ColdBootAttack(config)
+        monolithic = attack.run(dump).candidate_keys
+        sharded = attack.run_sharded(dump, workers=1, n_shards=2).candidate_keys
+        assert monolithic and sharded == monolithic
+
     def test_empty_dump(self):
         report = Ddr4ColdBootAttack().run(MemoryImage(SplitMix64(1).next_bytes(64 * 64)))
         assert report.recovered_keys == []
