@@ -2,8 +2,9 @@
 """Scan-performance harness: time the attack stages, track the trajectory.
 
 Runs the sharded AES-schedule scan over a pinned-seed synthetic dump,
-times each stage (key mining, fingerprint join, verification, and the
-end-to-end sharded recovery), runs the preserved seed implementation
+times each stage (key mining, fingerprint join, verification, post-hit
+recovery, and the end-to-end sharded recovery), runs the preserved seed
+implementation
 (:mod:`benchmarks.legacy_scan`) on the same dump, asserts the two
 recover **byte-identical** key sets, and writes the measurements to
 ``BENCH_scan.json``::
@@ -13,12 +14,13 @@ recover **byte-identical** key sets, and writes the measurements to
     python benchmarks/harness.py --repeat 3       # median-of-3 stages
     python benchmarks/harness.py --min-speedup 20 # regression gate (CI)
 
-Stage times are honest: join and verify numbers, for the fast path and
-the seed baseline alike, come from :attr:`AesKeySearch.stage_seconds` —
-the clocks each scan runs *inside* ``find_hits`` — not from replaying
-the stages separately, and each record's ``workers`` field is the
-parallelism the stage really ran with (mine/join/verify are
-single-threaded measurements; only
+Stage times are honest: join, verify and recover numbers, for the fast
+path and the seed baseline alike, come from
+:attr:`AesKeySearch.stage_seconds` — the clocks each scan runs *inside*
+``find_hits`` and ``recover_keys`` — not from replaying the stages
+separately, and each record's ``workers`` field is the parallelism the
+stage really ran with (mine/join/verify/recover are single-threaded
+measurements; only
 ``end_to_end`` fans out, and it also records which executor the scan
 chose).  With ``--repeat N`` every fast stage is measured N times and
 the median recorded (raw samples ride along as ``wall_s_samples``).
@@ -65,6 +67,8 @@ BENCH_SCHEMA = "bench-scan/v1"
 STAGE_FIELDS = ("wall_s", "blocks_per_s", "keys", "workers")
 #: Stages a complete record must report.
 REQUIRED_STAGES = ("mine", "join", "verify", "end_to_end")
+#: Stages newer records add; older records without them stay valid.
+OPTIONAL_STAGES = ("recover",)
 
 #: Pinned defaults — change them and historical records stop comparing.
 DEFAULT_SEED = 5
@@ -107,6 +111,9 @@ def validate_bench_record(record: dict) -> None:
         speedups = record.get("speedup_vs_baseline")
         if not isinstance(speedups, dict) or "end_to_end" not in speedups:
             raise ValueError("baseline present but speedup_vs_baseline incomplete")
+        for name in OPTIONAL_STAGES:
+            if name in record["stages"] and name in record["baseline"] and name not in speedups:
+                raise ValueError(f"speedup_vs_baseline lacks {name!r}")
         if not isinstance(record.get("identical_keys"), bool):
             raise ValueError("baseline present but identical_keys missing")
 
@@ -170,7 +177,7 @@ def run_benchmark(
     """Measure all stages on one pinned dump; return the JSON record.
 
     ``repeat`` reruns the fast-path measurements (mine, fused
-    join/verify, end-to-end) that many times and records the median per
+    join/verify, recover, end-to-end) that many times and records the median per
     stage; the deterministic seed baseline runs once — it is the frozen
     reference, ~20× slower, and not the thing whose noise we are
     smoothing.
@@ -182,8 +189,9 @@ def run_benchmark(
     mine_samples: list[float] = []
     join_samples: list[float] = []
     verify_samples: list[float] = []
+    recover_samples: list[float] = []
     e2e_samples: list[float] = []
-    n_keys = n_hits = 0
+    n_keys = 0
     executor = "serial"
     keys = None
     recovered = None
@@ -194,13 +202,14 @@ def run_benchmark(
         n_keys = len(candidates)
         keys = keys_matrix(candidates)
 
-        # The fused kernel times its own stages while it streams; read
-        # them back instead of re-simulating the join and verify as
-        # separate passes the scan no longer performs.
+        # The fused kernel and the recovery after it time their own
+        # stages; read them back instead of re-simulating the join,
+        # verify and recovery as separate passes.
         fast_search = AesKeySearch(keys, key_bits=256)
-        n_hits = len(fast_search.find_hits(dump))
+        n_serial = len(fast_search.recover_keys(dump))
         join_samples.append(fast_search.stage_seconds["join"])
         verify_samples.append(fast_search.stage_seconds["verify"])
+        recover_samples.append(fast_search.stage_seconds["recover"])
 
         start = time.perf_counter()
         scan = resilient_recover_keys(
@@ -218,7 +227,8 @@ def run_benchmark(
         print(
             f"[harness] rep {rep + 1}/{repeat}: mine {mine_samples[-1]:.2f}s "
             f"({n_keys} keys), join {join_samples[-1]:.2f}s, "
-            f"verify {verify_samples[-1]:.2f}s ({n_hits} hits), "
+            f"verify {verify_samples[-1]:.2f}s, "
+            f"recover {recover_samples[-1]:.2f}s ({n_serial} keys), "
             f"end-to-end {e2e_samples[-1]:.2f}s "
             f"({workers} workers, {executor} executor, "
             f"{len(scan.recovered)} keys recovered)"
@@ -247,6 +257,10 @@ def run_benchmark(
                 statistics.median(verify_samples), n_blocks, n_keys, 1,
                 samples=verify_samples,
             ),
+            "recover": _stage(
+                statistics.median(recover_samples), n_blocks, n_keys, 1,
+                samples=recover_samples,
+            ),
             "end_to_end": _stage(
                 statistics.median(e2e_samples), n_blocks, n_keys, workers,
                 samples=e2e_samples, executor=executor, shards=workers,
@@ -256,15 +270,17 @@ def run_benchmark(
     }
 
     if with_baseline:
-        # The seed scan times its own join and verify inside find_hits,
-        # exactly as the fast path is read above.
+        # The seed scan times its own join, verify and recovery, exactly
+        # as the fast path is read above.
         seed_search = SeedAesKeySearch(keys, key_bits=256)
-        seed_search.find_hits(dump)
+        seed_search.recover_keys(dump)
         base_join = _stage(seed_search.stage_seconds["join"], n_blocks, n_keys, 1)
         base_verify = _stage(seed_search.stage_seconds["verify"], n_blocks, n_keys, 1)
+        base_recover = _stage(seed_search.stage_seconds["recover"], n_blocks, n_keys, 1)
         print(
             f"[harness] baseline join: {base_join['wall_s']:.2f}s, "
-            f"verify: {base_verify['wall_s']:.2f}s"
+            f"verify: {base_verify['wall_s']:.2f}s, "
+            f"recover: {base_recover['wall_s']:.2f}s"
         )
         start = time.perf_counter()
         base_keys = len(seed_mine_scrambler_keys(dump))
@@ -280,6 +296,7 @@ def run_benchmark(
             "mine": base_mine,
             "join": base_join,
             "verify": base_verify,
+            "recover": base_recover,
             "end_to_end": _stage(base_e2e_s, n_blocks, n_keys, workers),
         }
         record["identical_keys"] = identical
@@ -287,13 +304,14 @@ def run_benchmark(
             name: (record["baseline"][name]["wall_s"] / record["stages"][name]["wall_s"])
             if record["stages"][name]["wall_s"] > 0
             else float("inf")
-            for name in ("mine", "join", "verify", "end_to_end")
+            for name in ("mine", "join", "verify", "recover", "end_to_end")
         }
         speedup = record["speedup_vs_baseline"]["end_to_end"]
         print(
             f"[harness] speedup vs seed: mine {record['speedup_vs_baseline']['mine']:.1f}x, "
             f"join {record['speedup_vs_baseline']['join']:.1f}x, "
             f"verify {record['speedup_vs_baseline']['verify']:.1f}x, "
+            f"recover {record['speedup_vs_baseline']['recover']:.1f}x, "
             f"end-to-end {speedup:.1f}x; identical keys: {identical}"
         )
         if not identical:

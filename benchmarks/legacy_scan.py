@@ -12,6 +12,10 @@ each task — and mines with :func:`seed_mine_scrambler_keys`, the dict
 walk + popcount-table merge the vectorised miner replaced.
 :func:`greedy_mine_scrambler_keys` is the per-row greedy merge the
 batched miner replaced: the exactness oracle for its candidates.
+:class:`PerWindowAesKeySearch` is post-hit recovery as it ran one
+window at a time (with :func:`legacy_batch_expand_from_window` and
+:func:`legacy_repair_observed_table`): the exactness oracle for the
+batched recovery.
 
 Keeping the old code importable (rather than checking out an old
 commit) lets ``benchmarks/harness.py`` measure the speedup *and* assert
@@ -32,6 +36,9 @@ from repro.attack.aes_search import (
     _all_pairs,
     _fingerprints,
     _t_forward,
+    confidence_score,
+    reconstruct_schedule,
+    vote_correct_table,
 )
 from repro.attack.keymine import (
     DEFAULT_SCAN_LIMIT_BYTES,
@@ -41,7 +48,14 @@ from repro.attack.keymine import (
 )
 from repro.attack.litmus import key_litmus_mismatch_bits
 from repro.attack.parallel import merge_recovered, shard_image
-from repro.crypto.aes import batch_next_round_key, expand_key, schedule_bytes
+from repro.crypto.aes import (
+    _ROUNDS_FOR_NK,
+    SBOX,
+    Rcon,
+    batch_next_round_key,
+    expand_key,
+    schedule_bytes,
+)
 from repro.dram.image import MemoryImage
 from repro.resilience.executor import ResilientShardRunner
 from repro.util.bits import POPCOUNT_TABLE
@@ -349,7 +363,7 @@ class SeedAesKeySearch(AesKeySearch):
 
     def find_hits(self, image: MemoryImage) -> list[ScheduleHit]:
         blocks = image.blocks_matrix()
-        self.stage_seconds = {"join": 0.0, "verify": 0.0}
+        self.stage_seconds = {"join": 0.0, "verify": 0.0, "recover": 0.0}
         stage = self.stage_seconds
         hits: list[ScheduleHit] = []
         for offset in self.offsets:
@@ -391,7 +405,30 @@ class SeedAesKeySearch(AesKeySearch):
                 self.on_progress()
         return extended
 
+    def _window_candidates(
+        self, span: np.ndarray, round_index: int, repair_bits: int
+    ) -> list[bytes]:
+        """Master-key ballots from one descrambled window (+ bit repairs)."""
+        window = span[: self.variant.window_bytes]
+        masters: list[bytes] = []
+        repairs = [()] if repair_bits == 0 else [(), *((bit,) for bit in range(len(window) * 8))]
+        for flips in repairs:
+            candidate = window.copy()
+            for bit in flips:
+                candidate[bit // 8] ^= 0x80 >> (bit % 8)
+            words = [
+                int.from_bytes(candidate[4 * i : 4 * i + 4].tobytes(), "big")
+                for i in range(self.variant.nk)
+            ]
+            try:
+                schedule = reconstruct_schedule(words, 4 * round_index, self.variant.key_bits)
+            except ValueError:
+                continue
+            masters.append(schedule[: self.variant.key_bits // 8])
+        return masters
+
     def _span_score(self, expansion: np.ndarray, spans: list[tuple[int, np.ndarray]]) -> int:
+        """Total Hamming distance between an expansion and observed windows."""
         score = 0
         for round_index, span in spans:
             expected = expansion[16 * round_index : 16 * round_index + len(span)]
@@ -624,6 +661,382 @@ class SeedAesKeySearch(AesKeySearch):
             match_fraction=1.0 - best_fraction,
             region_agreement=best_agreement,
             hits=tuple(sorted(group, key=lambda h: (h.block_index, h.offset))),
+        )
+
+
+def _legacy_batch_transform(temp: np.ndarray, index: int, nk: int) -> np.ndarray:
+    """The expansion transform T at ``index`` applied to ``(N, 4)`` byte words."""
+    if index % nk == 0:
+        out = SBOX[np.roll(temp, -1, axis=1)]
+        out[:, 0] ^= Rcon(index // nk)
+        return out
+    if nk > 6 and index % nk == 4:
+        return SBOX[temp]
+    return temp
+
+
+def legacy_batch_expand_from_window(
+    windows: np.ndarray, first_index: int, nk: int
+) -> np.ndarray:
+    """``batch_expand_from_window`` on byte columns, one start per call.
+
+    The exactness oracle for the word-level expansion: every step is a
+    ``(N, 4)`` byte-matrix transform, one ``np.roll`` and ``Rcon`` call
+    per round-constant word.
+    """
+    if nk not in _ROUNDS_FOR_NK:
+        raise ValueError(f"unsupported Nk: {nk}")
+    windows = np.asarray(windows, dtype=np.uint8)
+    if windows.ndim != 2 or windows.shape[1] != 4 * nk:
+        raise ValueError(f"windows must be (N, {4 * nk}), got {windows.shape}")
+    total = 4 * (_ROUNDS_FOR_NK[nk] + 1)
+    if first_index < 0 or first_index + nk > total:
+        raise ValueError("window does not fit the schedule")
+    window = [windows[:, 4 * w : 4 * w + 4] for w in range(nk)]
+    # Backwards: invert w[i] = w[i-Nk] ^ T_i(w[i-1]) at the window head.
+    index = first_index
+    while index > 0:
+        i = index + nk - 1
+        temp = _legacy_batch_transform(window[-2], i, nk)
+        window = [window[-1] ^ temp] + window[:-1]
+        index -= 1
+    # Forwards from word nk to the end of the schedule.
+    words = list(window)
+    i = nk
+    while len(words) < total:
+        temp = _legacy_batch_transform(words[-1], i, nk)
+        words.append(words[-nk] ^ temp)
+        i += 1
+    return np.concatenate(words, axis=1)
+
+
+def legacy_repair_observed_table(
+    table: np.ndarray,
+    key_bits: int,
+    max_steps: int = 64,
+    known_bytes: np.ndarray | None = None,
+) -> np.ndarray:
+    """``repair_observed_table`` with per-candidate payload rows: the oracle.
+
+    The production repair builds its candidate targets and payloads
+    with numpy; this is the per-equation loop it replaced, which must
+    pick the same trials in the same order.
+    """
+    variant = AesVariant(key_bits)
+    nk = variant.nk
+    n_words = len(table) // 4
+    if n_words < nk + 1:
+        return table
+    # Words as (n_words, 4) big-endian byte rows: every transform in the
+    # recurrence (XOR, RotWord, per-byte SubWord, Rcon on the MSB) is
+    # byte-aligned, so the whole repair runs on uint8 matrices and every
+    # candidate repair of a greedy step is scored in ONE batched pass.
+    words = np.ascontiguousarray(table[: 4 * n_words], dtype=np.uint8).reshape(
+        n_words, 4
+    )
+    if known_bytes is None:
+        word_known = np.ones(n_words, dtype=bool)
+    else:
+        word_known = (
+            np.asarray(known_bytes[: 4 * n_words], dtype=bool).reshape(n_words, 4).all(axis=1)
+        )
+
+    eq_index = np.arange(nk, n_words)
+    rot_mask = eq_index % nk == 0
+    sub_mask = (eq_index % nk == 4) if nk > 6 else np.zeros_like(rot_mask)
+    rcon_vals = np.array([Rcon(int(i) // nk) for i in eq_index[rot_mask]], dtype=np.uint8)
+    # Equations touching guess-filled (unknown) words carry no
+    # information about the observed bytes; mask them out.
+    known_eq = word_known[nk:] & word_known[: n_words - nk] & word_known[nk - 1 : -1]
+
+    def residues(ws: np.ndarray) -> np.ndarray:
+        """Equation residues for a ``(..., n_words, 4)`` batch of tables."""
+        prev = ws[..., nk - 1 : -1, :]
+        t = prev.copy()
+        t[..., rot_mask, :] = SBOX[prev[..., rot_mask, :][..., (1, 2, 3, 0)]]
+        t[..., rot_mask, 0] ^= rcon_vals
+        if nk > 6:
+            t[..., sub_mask, :] = SBOX[prev[..., sub_mask, :]]
+        out = ws[..., nk:, :] ^ ws[..., : n_words - nk, :] ^ t
+        out[..., ~known_eq, :] = 0
+        return out
+
+    def weights_of(ws: np.ndarray) -> np.ndarray:
+        """Total residue popcount — the repair's objective.
+
+        Popcount (not violation count) discriminates: a *correct* credit
+        simultaneously clears every equation the flipped bits touch,
+        while a wrong credit merely shuffles residue bits around.
+        """
+        return np.bitwise_count(residues(ws)).sum(axis=(-1, -2), dtype=np.int64)
+
+    for _ in range(max_steps):
+        residue = residues(words)
+        violated = np.nonzero(residue.any(axis=1))[0]
+        if violated.size == 0:
+            break
+        base_weight = int(weights_of(words))
+        # Enumerate candidate repairs in the scalar order (per violated
+        # equation: credit w[i], credit w[i-Nk], then — for S-box
+        # equations — each single-bit flip of w[i-1]).
+        targets: list[int] = []
+        payloads: list[np.ndarray] = []
+        for row in violated:
+            i = int(eq_index[row])
+            # Hypothesis A/B: the error lives in a linear operand, so the
+            # residue itself is the correction.
+            targets.extend((i, i - nk))
+            payloads.extend((residue[row], residue[row]))
+            # Hypothesis C: the error feeds the S-box input w[i-1]; a
+            # single-bit flip there can zero the residue nonlinearly.
+            if rot_mask[row] or sub_mask[row]:
+                for bit in range(32):
+                    targets.append(i - 1)
+                    payload = np.zeros(4, dtype=np.uint8)
+                    payload[3 - bit // 8] = 1 << (bit % 8)
+                    payloads.append(payload)
+        trials = np.broadcast_to(words, (len(targets), n_words, 4)).copy()
+        trials[np.arange(len(targets)), targets] ^= np.asarray(payloads, dtype=np.uint8)
+        weights = weights_of(trials)
+        best = int(np.argmin(weights))  # ties → first trial, as scalar did
+        if int(weights[best]) >= base_weight:
+            break
+        words = trials[best]
+    return words.reshape(-1).copy()
+
+
+
+class PerWindowAesKeySearch(AesKeySearch):
+    """:class:`AesKeySearch` with post-hit recovery as it ran per window.
+
+    The exactness oracle for batched recovery: one
+    :meth:`_window_ballots` expansion per hit or table window, a dict
+    walk over every ballot row for the ranking, every ranked ballot
+    region-scored again on each escalation step, and
+    :func:`legacy_repair_observed_table`.  Scanning, region scoring,
+    decoding and the rest are inherited, so every ``RecoveredAesKey``
+    field and every abstain must come out identical to the production
+    recovery's.
+    """
+
+    def _window_ballots(
+        self, span: np.ndarray, round_index: int, repair_bits: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """All ballots from one window, expanded in a single batch.
+
+        Returns ``(masters, schedules)``: the ``(n, key_bytes)`` master
+        keys and the ``(n, schedule_bytes)`` full expansions, one row
+        per ballot.  Row order matches the scalar path
+        (:meth:`_window_candidates`): the unrepaired window first, then
+        one row per flipped bit.  Since the backward recurrence ends at
+        word 0 and the forward pass re-derives everything from there,
+        each schedule row *is* ``expand_key`` of its master — recovery
+        scores rows directly instead of re-expanding every ballot in
+        Python.
+        """
+        window = np.asarray(span[: self.variant.window_bytes], dtype=np.uint8)
+        if repair_bits == 0:
+            windows = window[None, :]
+        else:
+            windows = np.vstack(
+                [window[None, :], window[None, :] ^ self._flip_matrix(len(window))]
+            )
+        schedules = legacy_batch_expand_from_window(windows, 4 * round_index, self.variant.nk)
+        return schedules[:, : self.variant.key_bits // 8], schedules
+
+
+    def _recover_from_group(
+        self,
+        blocks: np.ndarray,
+        base: int,
+        group: list[ScheduleHit],
+        pinned: bool = False,
+    ) -> RecoveredAesKey | None:
+        """Reconstruct, repair, and confirm one schedule's master key."""
+        variant = self.variant
+        if self.schedule_decode:
+            # The decode path runs first: at this stage's channel the
+            # ballot machinery below almost never assembles a usable
+            # guess, while the hit spans alone are enough for belief
+            # propagation.  A base the seed gate rejected never looked
+            # like a schedule at all — running the classical ballots on
+            # it would only manufacture spurious keys from the junk
+            # tail the wide verify budget admits (and burn most of the
+            # stage's wall time doing it).  Falling through on a
+            # genuine abstain keeps the classical rescue as the safety
+            # net for plausible bases the decoder could not settle.
+            decoded, gated = self._decode_group(blocks, base, group, pinned=pinned)
+            if decoded is not None:
+                return decoded
+            if gated:
+                return None
+        spans: list[tuple[int, np.ndarray]] = []
+        for hit in group:
+            span = (
+                blocks[hit.block_index, hit.offset : hit.offset + variant.span_bytes]
+                ^ self.keys[hit.key_index, hit.offset : hit.offset + variant.span_bytes]
+            )
+            spans.append((hit.round_index, span))
+
+        # Ballots from pristine windows first; bit-repaired ballots only
+        # when no pristine window survives the full-region confirmation.
+        group_sorted = sorted(zip(group, spans), key=lambda item: item[0].mismatch_bits)
+        best_master: bytes | None = None
+        best_fraction = 1.0
+
+        best_agreement = 0.0
+        best_counted_bits = 0
+        #: Converged decoded tables (as bytes) → mean max-posterior
+        #: probability, for recalibrating the final confidence when the
+        #: accepted master's expansion is one the decoder produced.
+        decode_certainty: dict[bytes, float] = {}
+        schedule_bits = 8 * 4 * variant.total_words
+
+        def consider(scored: dict[bytes, int], expansions: dict[bytes, np.ndarray]) -> None:
+            """Region-confirm the span-score-ranked ballots."""
+            nonlocal best_master, best_fraction, best_agreement, best_counted_bits
+            ranked = [master for master, _ in sorted(scored.items(), key=lambda item: item[1])[:8]]
+            if not ranked:
+                return
+            region_scores = self._region_mismatches(
+                blocks, base, np.stack([expansions[master] for master in ranked])
+            )
+            for master, (mismatch, counted_bits) in zip(ranked, region_scores):
+                fraction = mismatch / counted_bits
+                if fraction < best_fraction:
+                    best_fraction = fraction
+                    best_agreement = max(0.0, (counted_bits - mismatch) / schedule_bits)
+                    best_counted_bits = counted_bits
+                    best_master = master
+
+        # A ballot is "clearly clean" when its expansion disagrees with
+        # the dump only at decay-plausible rates; anything worse keeps
+        # the escalation going even if it would pass the final gate,
+        # because a near-miss reconstruction (wrong by a few window
+        # bits) can still sit a few percent off.
+        clearly_clean = min(0.02, self.accept_mismatch_fraction)
+
+        for repair in range(self.repair_bits + 1):
+            scored: dict[bytes, int] = {}
+            expansions: dict[bytes, np.ndarray] = {}
+            for hit, (round_index, span) in group_sorted:
+                masters, schedules = self._window_ballots(span, round_index, repair)
+                scores = np.zeros(len(schedules), dtype=np.int64)
+                for span_round, span_data in spans:
+                    segment = schedules[:, 16 * span_round : 16 * span_round + len(span_data)]
+                    scores += np.bitwise_count(segment ^ span_data).sum(axis=1, dtype=np.int64)
+                for row, master_row in enumerate(masters):
+                    master = master_row.tobytes()
+                    if master not in scored:
+                        scored[master] = int(scores[row])
+                        expansions[master] = schedules[row]
+            consider(scored, expansions)
+            if best_master is not None and best_fraction <= clearly_clean:
+                break
+
+        if best_master is not None and best_fraction > clearly_clean:
+            # Iterative rescue: the best ballot so far is mostly right;
+            # use it to descramble the whole table region, then ballot
+            # from *every* round-aligned window of the observed table —
+            # windows the hit scan never saw — with bit repairs.  Any
+            # window that survived decay (or is one repair away from it)
+            # reconstructs the true key, whose region mismatch is
+            # strictly lower than any near-miss's, so the running
+            # minimum converges on it.  The guess is refreshed between
+            # iterations since a better guess picks better per-block keys.
+            decode_attempted = False
+            for _iteration in range(3):
+                if self.on_progress is not None:
+                    self.on_progress()
+                before = best_fraction
+                guess = np.frombuffer(expand_key(best_master), dtype=np.uint8)
+                observed = self._observed_table(blocks, base, guess)
+                if observed is None:
+                    break
+                table, known = observed
+                decoded_clean = False
+                if self.schedule_decode and not decode_attempted:
+                    # Message passing sees the whole table at once and
+                    # corrects channels far beyond what greedy repair
+                    # survives; a converged (zero-syndrome) decode IS a
+                    # valid codeword, so every byte becomes known and
+                    # vote/repair have nothing left to do.  An abstain
+                    # falls through to the classical correctors — and
+                    # is not retried on later rescue iterations, whose
+                    # observed table barely differs.
+                    decode_attempted = True
+                    result = self._decode_table(
+                        table, known, base, f"{base:#x}", before
+                    )
+                    if result is not None and not result.abstained():
+                        table = result.tables[0].copy()
+                        known = np.ones_like(known)
+                        decoded_clean = True
+                        decode_certainty[table.tobytes()] = float(result.certainty[0])
+                if not decoded_clean:
+                    if self.schedule_vote:
+                        # Consistency voting first: it corrects dense decay
+                        # (multiple flips per equation) that the greedy
+                        # single-residue repair stalls on, leaving the
+                        # greedy pass only the stragglers.
+                        table = vote_correct_table(
+                            table, variant.key_bits, known_bytes=known
+                        )
+                    table = legacy_repair_observed_table(
+                        table, variant.key_bits, known_bytes=known
+                    )
+                for repair in range(self.repair_bits + 1):
+                    scored = {}
+                    expansions = {}
+                    for round_index in range(0, (variant.total_words - variant.nk) // 4 + 1):
+                        lo = 16 * round_index
+                        window = table[lo : lo + variant.window_bytes]
+                        if len(window) < variant.window_bytes:
+                            break
+                        if not known[lo : lo + variant.window_bytes].all():
+                            continue  # never ballot from guess-filled bytes
+                        masters, schedules = self._window_ballots(window, round_index, repair)
+                        scores = np.bitwise_count((schedules ^ table[None, :])[:, known]).sum(
+                            axis=1, dtype=np.int64
+                        )
+                        for row, master_row in enumerate(masters):
+                            master = master_row.tobytes()
+                            if master not in scored:
+                                scored[master] = int(scores[row])
+                                expansions[master] = schedules[row]
+                    consider(scored, expansions)
+                    if best_fraction <= clearly_clean:
+                        break
+                if best_fraction <= clearly_clean or best_fraction >= before:
+                    break
+
+        if best_master is None or best_fraction > self.accept_mismatch_fraction:
+            return None
+        expansion = np.frombuffer(expand_key(best_master), dtype=np.uint8)
+        votes = sum(
+            1
+            for round_index, span in spans
+            if int(
+                POPCOUNT_TABLE[
+                    expansion[16 * round_index : 16 * round_index + len(span)] ^ span
+                ].sum()
+            )
+            <= self.accept_mismatch_fraction * 8 * len(span)
+        )
+        return RecoveredAesKey(
+            master_key=best_master,
+            key_bits=variant.key_bits,
+            votes=votes,
+            first_block_index=min(h.block_index for h in group),
+            match_fraction=1.0 - best_fraction,
+            region_agreement=best_agreement,
+            hits=tuple(sorted(group, key=lambda h: (h.block_index, h.offset))),
+            confidence=confidence_score(
+                best_fraction,
+                decay_rate=self.decay_rate,
+                coverage=best_counted_bits / schedule_bits,
+                posterior_certainty=decode_certainty.get(expansion.tobytes()),
+            ),
         )
 
 

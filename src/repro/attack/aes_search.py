@@ -130,6 +130,9 @@ SCAN_CHUNK_BLOCKS = 65536
 #: (neighbour extension, pinned bases): bounds its gathers to a few MiB
 #: however many neighbour blocks and keys there are.
 _NEIGHBOUR_PAIR_BUDGET = 1 << 16
+#: Bytes per gather when scoring ballots against observed spans: keeps
+#: a many-hit group's temporaries near 1 MiB each.
+_SCORE_GATHER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -689,6 +692,11 @@ def repair_observed_table(
     # Equations touching guess-filled (unknown) words carry no
     # information about the observed bytes; mask them out.
     known_eq = word_known[nk:] & word_known[: n_words - nk] & word_known[nk - 1 : -1]
+    # Slot payloads: two residue credits, then bit b of the word (LSB
+    # first) flipped in big-endian byte 3 - b // 8.
+    bits = np.arange(32)
+    bit_flips = np.zeros((34, 4), dtype=np.uint8)
+    bit_flips[2 + bits, 3 - bits // 8] = 1 << (bits % 8)
 
     def residues(ws: np.ndarray) -> np.ndarray:
         """Equation residues for a ``(..., n_words, 4)`` batch of tables."""
@@ -716,28 +724,22 @@ def repair_observed_table(
         violated = np.nonzero(residue.any(axis=1))[0]
         if violated.size == 0:
             break
-        base_weight = int(weights_of(words))
-        # Enumerate candidate repairs in the scalar order (per violated
-        # equation: credit w[i], credit w[i-Nk], then — for S-box
-        # equations — each single-bit flip of w[i-1]).
-        targets: list[int] = []
-        payloads: list[np.ndarray] = []
-        for row in violated:
-            i = int(eq_index[row])
-            # Hypothesis A/B: the error lives in a linear operand, so the
-            # residue itself is the correction.
-            targets.extend((i, i - nk))
-            payloads.extend((residue[row], residue[row]))
-            # Hypothesis C: the error feeds the S-box input w[i-1]; a
-            # single-bit flip there can zero the residue nonlinearly.
-            if rot_mask[row] or sub_mask[row]:
-                for bit in range(32):
-                    targets.append(i - 1)
-                    payload = np.zeros(4, dtype=np.uint8)
-                    payload[3 - bit // 8] = 1 << (bit % 8)
-                    payloads.append(payload)
+        base_weight = int(np.bitwise_count(residue).sum())
+        # Candidate repairs in the scalar order, 34 slots per violated
+        # equation: credit the residue to w[i] or w[i-Nk] (the error
+        # lives in a linear operand), then — for S-box equations only —
+        # flip each single bit of the S-box input w[i-1], which can zero
+        # the residue nonlinearly.
+        eq = eq_index[violated]
+        slots = np.repeat(eq - 1, 34).reshape(-1, 34)
+        slots[:, 0], slots[:, 1] = eq, eq - nk
+        slot_payloads = np.broadcast_to(bit_flips, (violated.size, 34, 4)).copy()
+        slot_payloads[:, 0] = slot_payloads[:, 1] = residue[violated]
+        used = np.ones((violated.size, 34), dtype=bool)
+        used[:, 2:] = (rot_mask | sub_mask)[violated, None]
+        targets, payloads = slots[used], slot_payloads[used]
         trials = np.broadcast_to(words, (len(targets), n_words, 4)).copy()
-        trials[np.arange(len(targets)), targets] ^= np.asarray(payloads, dtype=np.uint8)
+        trials[np.arange(len(targets)), targets] ^= payloads
         weights = weights_of(trials)
         best = int(np.argmin(weights))  # ties → first trial, as scalar did
         if int(weights[best]) >= base_weight:
@@ -1082,12 +1084,14 @@ class AesKeySearch:
         #: this at the heartbeat watchdog so a multi-minute shard search
         #: publishes progress beats at sub-shard granularity.
         self.on_progress = None
-        #: Wall-clock split of the last :meth:`find_hits` call: "join"
-        #: (relation tables + direct-address probes) vs "verify"
-        #: (mismatch prefilter + S-box verification).  The benchmark
-        #: harness reads this so BENCH_scan.json reports the stages as
-        #: they actually ran inside the fused pass, not a re-simulation.
-        self.stage_seconds: dict[str, float] = {"join": 0.0, "verify": 0.0}
+        #: Wall-clock split of the last scan: "join" (relation tables +
+        #: direct-address probes) vs "verify" (mismatch prefilter +
+        #: S-box verification) inside :meth:`find_hits`, and "recover"
+        #: (extension, per-group recovery and filters) in
+        #: :meth:`recover_keys` after it.  The benchmark harness reads
+        #: this so BENCH_scan.json reports the stages as they actually
+        #: ran, not a re-simulation.
+        self.stage_seconds: dict[str, float] = {"join": 0.0, "verify": 0.0, "recover": 0.0}
         # Per-band "bucket is non-empty" bitmaps, keyed by the identity
         # of the band's indptr table (the same key the probe memo uses).
         # A 64 KiB bool gather decides which blocks hit anything before
@@ -1229,7 +1233,7 @@ class AesKeySearch:
         round); the sort is stable, so ties stay in ascending key order.
         """
         blocks = image.blocks_matrix()
-        self.stage_seconds = {"join": 0.0, "verify": 0.0}
+        self.stage_seconds = {"join": 0.0, "verify": 0.0, "recover": 0.0}
         hits: list[ScheduleHit] = []
         if not self.offsets:
             return hits
@@ -1638,59 +1642,29 @@ class AesKeySearch:
         return cached
 
     def _window_ballots(
-        self, span: np.ndarray, round_index: int, repair_bits: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All ballots from one window, expanded in a single batch.
+        self, windows: np.ndarray, rounds: np.ndarray, repair_bits: int
+    ) -> np.ndarray:
+        """Every ballot of one escalation step, expanded in a single batch.
 
-        Returns ``(masters, schedules)``: the ``(n, key_bytes)`` master
-        keys and the ``(n, schedule_bytes)`` full expansions, one row
-        per ballot.  Row order matches the scalar path
-        (:meth:`_window_candidates`): the unrepaired window first, then
+        ``windows`` holds one descrambled window per row and ``rounds``
+        each window's round index.  Returns the ``(n, schedule_bytes)``
+        full expansions, one row per ballot; a row's first
+        ``key_bits // 8`` bytes are its master key.  Rows run window by
+        window: the unrepaired window first, then (with ``repair_bits``)
         one row per flipped bit.  Since the backward recurrence ends at
         word 0 and the forward pass re-derives everything from there,
-        each schedule row *is* ``expand_key`` of its master — recovery
-        scores rows directly instead of re-expanding every ballot in
-        Python.
+        each row *is* ``expand_key`` of its master — recovery scores
+        rows directly instead of re-expanding every ballot.
         """
-        window = np.asarray(span[: self.variant.window_bytes], dtype=np.uint8)
-        if repair_bits == 0:
-            windows = window[None, :]
-        else:
-            windows = np.vstack(
-                [window[None, :], window[None, :] ^ self._flip_matrix(len(window))]
-            )
-        schedules = batch_expand_from_window(windows, 4 * round_index, self.variant.nk)
-        return schedules[:, : self.variant.key_bits // 8], schedules
-
-    def _window_candidates(
-        self, span: np.ndarray, round_index: int, repair_bits: int
-    ) -> list[bytes]:
-        """Master-key ballots from one descrambled window (+ bit repairs)."""
-        window = span[: self.variant.window_bytes]
-        masters: list[bytes] = []
-        repairs = [()] if repair_bits == 0 else [(), *((bit,) for bit in range(len(window) * 8))]
-        for flips in repairs:
-            candidate = window.copy()
-            for bit in flips:
-                candidate[bit // 8] ^= 0x80 >> (bit % 8)
-            words = [
-                int.from_bytes(candidate[4 * i : 4 * i + 4].tobytes(), "big")
-                for i in range(self.variant.nk)
-            ]
-            try:
-                schedule = reconstruct_schedule(words, 4 * round_index, self.variant.key_bits)
-            except ValueError:
-                continue
-            masters.append(schedule[: self.variant.key_bits // 8])
-        return masters
-
-    def _span_score(self, expansion: np.ndarray, spans: list[tuple[int, np.ndarray]]) -> int:
-        """Total Hamming distance between an expansion and observed windows."""
-        score = 0
-        for round_index, span in spans:
-            expected = expansion[16 * round_index : 16 * round_index + len(span)]
-            score += int(np.bitwise_count(expected ^ span).sum())
-        return score
+        width = self.variant.window_bytes
+        windows = np.asarray(windows, dtype=np.uint8).reshape(-1, width)
+        starts = 4 * np.asarray(rounds, dtype=np.int64)
+        if repair_bits:
+            windows = np.concatenate(
+                [windows[:, None, :], windows[:, None, :] ^ self._flip_matrix(width)], axis=1
+            ).reshape(-1, width)
+            starts = np.repeat(starts, 1 + 8 * width)
+        return batch_expand_from_window(windows, starts, self.variant.nk)
 
     def _region_scorer(self, blocks: np.ndarray, base: int, length: int) -> _RegionScorer:
         """The :class:`_RegionScorer` of ``base``, reused across calls.
@@ -2203,10 +2177,18 @@ class AesKeySearch:
                 ^ self.keys[hit.key_index, hit.offset : hit.offset + variant.span_bytes]
             )
             spans.append((hit.round_index, span))
+        # Span scoring as one gather: schedule byte positions and the
+        # observed bytes they are compared with, span after span.
+        span_cols = np.concatenate(
+            [np.arange(16 * r, 16 * r + len(span)) for r, span in spans]
+        )
+        span_ref = np.concatenate([span for _, span in spans])
 
         # Ballots from pristine windows first; bit-repaired ballots only
         # when no pristine window survives the full-region confirmation.
-        group_sorted = sorted(zip(group, spans), key=lambda item: item[0].mismatch_bits)
+        order = sorted(range(len(group)), key=lambda k: group[k].mismatch_bits)
+        hit_windows = np.stack([spans[k][1][: variant.window_bytes] for k in order])
+        hit_rounds = np.array([spans[k][0] for k in order], dtype=np.int64)
         best_master: bytes | None = None
         best_fraction = 1.0
 
@@ -2217,17 +2199,40 @@ class AesKeySearch:
         #: accepted master's expansion is one the decoder produced.
         decode_certainty: dict[bytes, float] = {}
         schedule_bits = 8 * 4 * variant.total_words
+        key_bytes = variant.key_bits // 8
+        #: Master → (mismatch, counted bits) of every ballot this base
+        #: has region-confirmed; a master's expansion, hence its score,
+        #: never changes, so each is scored once per group.
+        confirmed: dict[bytes, tuple[int, int]] = {}
 
-        def consider(scored: dict[bytes, int], expansions: dict[bytes, np.ndarray]) -> None:
-            """Region-confirm the span-score-ranked ballots."""
+        def consider(schedules: np.ndarray, cols: np.ndarray, ref: np.ndarray) -> None:
+            """Region-confirm the span-score-ranked ballots of one step.
+
+            Masters are deduplicated in first-occurrence order, ranked
+            by a stable sort on their Hamming distance to ``ref`` at
+            ``cols``, and the best 8 are confirmed against the region.
+            """
             nonlocal best_master, best_fraction, best_agreement, best_counted_bits
-            ranked = [master for master, _ in sorted(scored.items(), key=lambda item: item[1])[:8]]
-            if not ranked:
+            if schedules.shape[0] == 0:
                 return
-            region_scores = self._region_mismatches(
-                blocks, base, np.stack([expansions[master] for master in ranked])
-            )
-            for master, (mismatch, counted_bits) in zip(ranked, region_scores):
+            masters = np.ascontiguousarray(schedules[:, :key_bytes]).view(f"V{key_bytes}").ravel()
+            first = np.sort(np.unique(masters, return_index=True)[1])
+            step = max(1, _SCORE_GATHER_BYTES // max(1, cols.size))
+            scores = np.concatenate([
+                np.bitwise_count(schedules[first[lo : lo + step]][:, cols] ^ ref).sum(
+                    axis=1, dtype=np.int64
+                )
+                for lo in range(0, first.size, step)
+            ])
+            ranked = first[np.argsort(scores, kind="stable")[:8]]
+            fresh = [row for row in ranked if masters[row].tobytes() not in confirmed]
+            if fresh:
+                region_scores = self._region_mismatches(blocks, base, schedules[fresh])
+                for row, score in zip(fresh, region_scores):
+                    confirmed[masters[row].tobytes()] = score
+            for row in ranked:
+                master = masters[row].tobytes()
+                mismatch, counted_bits = confirmed[master]
                 fraction = mismatch / counted_bits
                 if fraction < best_fraction:
                     best_fraction = fraction
@@ -2243,20 +2248,7 @@ class AesKeySearch:
         clearly_clean = min(0.02, self.accept_mismatch_fraction)
 
         for repair in range(self.repair_bits + 1):
-            scored: dict[bytes, int] = {}
-            expansions: dict[bytes, np.ndarray] = {}
-            for hit, (round_index, span) in group_sorted:
-                masters, schedules = self._window_ballots(span, round_index, repair)
-                scores = np.zeros(len(schedules), dtype=np.int64)
-                for span_round, span_data in spans:
-                    segment = schedules[:, 16 * span_round : 16 * span_round + len(span_data)]
-                    scores += np.bitwise_count(segment ^ span_data).sum(axis=1, dtype=np.int64)
-                for row, master_row in enumerate(masters):
-                    master = master_row.tobytes()
-                    if master not in scored:
-                        scored[master] = int(scores[row])
-                        expansions[master] = schedules[row]
-            consider(scored, expansions)
+            consider(self._window_ballots(hit_windows, hit_rounds, repair), span_cols, span_ref)
             if best_master is not None and best_fraction <= clearly_clean:
                 break
 
@@ -2311,26 +2303,21 @@ class AesKeySearch:
                     table = repair_observed_table(
                         table, variant.key_bits, known_bytes=known
                     )
+                # Every fully observed round window ballots; never ballot
+                # from guess-filled bytes.
+                rounds = np.array([
+                    r
+                    for r in range(0, (variant.total_words - variant.nk) // 4 + 1)
+                    if known[16 * r : 16 * r + variant.window_bytes].all()
+                ], dtype=np.int64)
+                windows = table[16 * rounds[:, None] + np.arange(variant.window_bytes)]
+                known_cols = np.flatnonzero(known)
                 for repair in range(self.repair_bits + 1):
-                    scored = {}
-                    expansions = {}
-                    for round_index in range(0, (variant.total_words - variant.nk) // 4 + 1):
-                        lo = 16 * round_index
-                        window = table[lo : lo + variant.window_bytes]
-                        if len(window) < variant.window_bytes:
-                            break
-                        if not known[lo : lo + variant.window_bytes].all():
-                            continue  # never ballot from guess-filled bytes
-                        masters, schedules = self._window_ballots(window, round_index, repair)
-                        scores = np.bitwise_count((schedules ^ table[None, :])[:, known]).sum(
-                            axis=1, dtype=np.int64
-                        )
-                        for row, master_row in enumerate(masters):
-                            master = master_row.tobytes()
-                            if master not in scored:
-                                scored[master] = int(scores[row])
-                                expansions[master] = schedules[row]
-                    consider(scored, expansions)
+                    consider(
+                        self._window_ballots(windows, rounds, repair),
+                        known_cols,
+                        table[known_cols],
+                    )
                     if best_fraction <= clearly_clean:
                         break
                 if best_fraction <= clearly_clean or best_fraction >= before:
@@ -2458,6 +2445,7 @@ class AesKeySearch:
         """
         blocks = image.blocks_matrix()
         hits = self.find_hits(image)
+        tick = time.perf_counter()
         if hits and self.extension_radius_blocks:
             merged = {(h.block_index, h.key_index, h.offset, h.round_index): h for h in hits}
             for hit in self._extend_hits(blocks, hits):
@@ -2484,6 +2472,7 @@ class AesKeySearch:
                 unique[result.master_key] = result
         final = list(unique.values())
         final.sort(key=lambda r: (-r.votes, -r.match_fraction, r.first_block_index))
+        self.stage_seconds["recover"] = time.perf_counter() - tick
         return final
 
 

@@ -28,6 +28,8 @@ encryption engine of §IV.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from repro.crypto.gf import gf_inverse, gf_multiply
@@ -69,8 +71,9 @@ def inv_sbox(value: int) -> int:
     return int(INV_SBOX[value & 0xFF])
 
 
+@cache
 def Rcon(i: int) -> int:
-    """Round constant byte for key-expansion step ``i`` (1-based)."""
+    """Round constant byte for key-expansion step ``i`` (1-based, memoised)."""
     if i < 1:
         raise ValueError("Rcon index starts at 1")
     value = 1
@@ -222,9 +225,7 @@ def batch_next_round_key(blocks: np.ndarray, nk: int, first_word_index: int) -> 
     for _ in range(4):
         temp = window[-1]
         if i % nk == 0:
-            rotated = np.roll(temp, -1, axis=1)
-            temp = SBOX[rotated]
-            temp = temp.copy()
+            temp = SBOX[temp[:, (1, 2, 3, 0)]]
             temp[:, 0] ^= Rcon(i // nk)
         elif nk > 6 and i % nk == 4:
             temp = SBOX[temp]
@@ -236,59 +237,58 @@ def batch_next_round_key(blocks: np.ndarray, nk: int, first_word_index: int) -> 
     return np.concatenate(out_words, axis=1)
 
 
-def _batch_transform(temp: np.ndarray, index: int, nk: int) -> np.ndarray:
-    """The expansion transform T at ``index`` applied to ``(N, 4)`` words."""
-    if index % nk == 0:
-        out = SBOX[np.roll(temp, -1, axis=1)]
-        out[:, 0] ^= Rcon(index // nk)
-        return out
-    if nk > 6 and index % nk == 4:
-        return SBOX[temp]
-    return temp
+@cache
+def _sub_pair_table() -> np.ndarray:
+    """SubWord on a byte pair: ``(a << 8 | b) -> (S[a] << 8 | S[b])``."""
+    pairs = np.arange(1 << 16, dtype=np.uint32)
+    return (SBOX[pairs >> 8].astype(np.uint32) << 8) | SBOX[pairs & 0xFF]
 
 
 def batch_expand_from_window(
-    windows: np.ndarray, first_index: int, nk: int
+    windows: np.ndarray, first_index: int | np.ndarray, nk: int
 ) -> np.ndarray:
     """Vectorised whole-schedule reconstruction from mid-schedule windows.
 
     ``windows`` is an ``(N, 4 * nk)`` uint8 array; each row holds ``nk``
     consecutive schedule words assumed to start at absolute word index
-    ``first_index``.  The expansion recurrence is bijective, so every
-    row's full schedule is recovered by running it backwards to word 0
-    and forwards to the end — ``4 * (Nr + 1)`` words, returned as an
-    ``(N, 16 * (Nr + 1))`` uint8 array.
-
-    One row of the result equals
-    ``reconstruct_schedule(row_words, first_index, key_bits)``; batching
-    moves the attack's ballot stage (hundreds of single-bit repair
-    variants per observed window) from per-candidate Python loops onto
-    numpy, which is what makes large-dump scans affordable.
+    ``first_index`` (one int, or one start per row).  The recurrence is
+    bijective, so every row's schedule is recovered by running it back
+    to word 0 and forward to the end: an ``(N, 16 * (Nr + 1))`` uint8
+    array whose row equals ``reconstruct_schedule(row_words, start,
+    key_bits)``.  Words are big-endian uint32 columns, so each step is
+    one op over the whole batch (SubWord is two byte-pair table
+    lookups); the backward pass only writes rows starting above it.
     """
     if nk not in _ROUNDS_FOR_NK:
         raise ValueError(f"unsupported Nk: {nk}")
-    windows = np.asarray(windows, dtype=np.uint8)
+    windows = np.ascontiguousarray(windows, dtype=np.uint8)
     if windows.ndim != 2 or windows.shape[1] != 4 * nk:
         raise ValueError(f"windows must be (N, {4 * nk}), got {windows.shape}")
     total = 4 * (_ROUNDS_FOR_NK[nk] + 1)
-    if first_index < 0 or first_index + nk > total:
+    n = windows.shape[0]
+    starts = np.asarray(first_index, dtype=np.int64)
+    if starts.size and (starts.min() < 0 or starts.max() + nk > total):
         raise ValueError("window does not fit the schedule")
-    window = [windows[:, 4 * w : 4 * w + 4] for w in range(nk)]
-    # Backwards: invert w[i] = w[i-Nk] ^ T_i(w[i-1]) at the window head.
-    index = first_index
-    while index > 0:
-        i = index + nk - 1
-        temp = _batch_transform(window[-2], i, nk)
-        window = [window[-1] ^ temp] + window[:-1]
-        index -= 1
-    # Forwards from word nk to the end of the schedule.
-    words = list(window)
-    i = nk
-    while len(words) < total:
-        temp = _batch_transform(words[-1], i, nk)
-        words.append(words[-nk] ^ temp)
-        i += 1
-    return np.concatenate(words, axis=1)
+    starts = np.broadcast_to(starts, (n,))
+    table = _sub_pair_table()
+
+    def transform(word: np.ndarray, index: int) -> np.ndarray:
+        """The expansion transform T at ``index`` applied to a word column."""
+        if index % nk and not (nk > 6 and index % nk == 4):
+            return word
+        sub = (table[word >> 16] << 16) | table[word & 0xFFFF]
+        if index % nk:
+            return sub
+        return ((sub << 8) | (sub >> 24)) ^ np.uint32(Rcon(index // nk) << 24)
+
+    words = np.zeros((total, n), dtype=np.uint32)
+    words[starts + np.arange(nk)[:, None], np.arange(n)] = windows.view(">u4").T
+    for j in range(int(starts.max(initial=0)) - 1, -1, -1):
+        derived = words[j + nk] ^ transform(words[j + nk - 1], j + nk)
+        np.copyto(words[j], derived, where=starts > j)
+    for i in range(nk, total):
+        np.bitwise_xor(words[i - nk], transform(words[i - 1], i), out=words[i])
+    return words.T.astype(">u4", order="C").view(np.uint8)
 
 
 def _bytes_to_state(block: bytes) -> list[list[int]]:

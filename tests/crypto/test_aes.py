@@ -20,6 +20,7 @@ from repro.crypto.aes import (
     sbox,
     schedule_bytes,
 )
+from repro.crypto.gf import gf_multiply
 
 # FIPS-197 Appendix C vectors: key / plaintext / ciphertext.
 FIPS_VECTORS = [
@@ -62,6 +63,13 @@ class TestRcon:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             Rcon(0)
+
+    def test_memoised_values_follow_the_doubling_chain(self):
+        chain = [1]
+        for _ in range(29):
+            chain.append(gf_multiply(chain[-1], 2))
+        assert [Rcon(i) for i in range(1, 31)] == chain
+        assert [Rcon(i) for i in range(1, 31)] == chain  # served from the cache
 
 
 class TestVariantGeometry:

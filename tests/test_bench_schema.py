@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.harness import (  # noqa: E402
     BENCH_SCHEMA,
+    OPTIONAL_STAGES,
     REQUIRED_STAGES,
     STAGE_FIELDS,
     validate_bench_record,
@@ -112,6 +113,38 @@ def test_baseline_without_identical_keys_rejected():
     record = valid_record()
     del record["identical_keys"]
     with pytest.raises(ValueError, match="identical_keys"):
+        validate_bench_record(record)
+
+
+def with_recover_stage(record):
+    record["stages"]["recover"] = stage_record(wall_s=0.5)
+    record["baseline"]["recover"] = stage_record(wall_s=3.0)
+    record["speedup_vs_baseline"]["recover"] = 6.0
+    return record
+
+
+def test_record_with_recover_stage_passes():
+    assert OPTIONAL_STAGES == ("recover",)
+    validate_bench_record(with_recover_stage(valid_record()))
+
+
+def test_older_record_without_recover_stage_still_passes():
+    record = valid_record()
+    assert "recover" not in record["stages"] and "recover" not in record["baseline"]
+    validate_bench_record(record)
+
+
+def test_malformed_recover_stage_rejected():
+    record = with_recover_stage(valid_record())
+    del record["stages"]["recover"]["wall_s"]
+    with pytest.raises(ValueError, match="recover"):
+        validate_bench_record(record)
+
+
+def test_recover_baseline_without_its_speedup_rejected():
+    record = with_recover_stage(valid_record())
+    del record["speedup_vs_baseline"]["recover"]
+    with pytest.raises(ValueError, match="recover"):
         validate_bench_record(record)
 
 
