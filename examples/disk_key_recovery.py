@@ -14,7 +14,12 @@ Run:  python examples/disk_key_recovery.py   (takes ~1 minute)
 
 import time
 
-from repro.attack import Ddr4ColdBootAttack, TransferConditions, cold_boot_transfer
+from repro.attack import (
+    Ddr4ColdBootAttack,
+    TransferConditions,
+    cold_boot_transfer,
+    xts_master_key,
+)
 from repro.victim import (
     TABLE_I_MACHINES,
     EncryptedFilesystem,
@@ -65,7 +70,7 @@ def main() -> None:
               f"{recovered.votes} window votes, "
               f"{100 * recovered.match_fraction:.1f}% region match")
 
-    master = attack.recover_xts_master_key(dump)
+    master = xts_master_key(report.recovered_keys)
     assert master is not None, "attack failed to locate the XTS key pair"
     print(f"\nrecovered XTS master key: {master.hex()[:32]}...")
     print(f"matches the volume's key: {master == volume.master_key}")

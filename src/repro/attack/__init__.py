@@ -62,12 +62,12 @@ from repro.attack.litmus import (
 from repro.attack.parallel import (
     ScanReport,
     Shard,
+    ScanRung,
     merge_recovered,
-    parallel_recover_keys,
     resilient_recover_keys,
     shard_image,
 )
-from repro.attack.pipeline import AttackConfig, AttackReport, Ddr4ColdBootAttack
+from repro.attack.pipeline import AttackConfig, AttackReport, Ddr4ColdBootAttack, xts_master_key
 from repro.attack.report import (
     REPORT_SCHEMA_VERSION,
     report_to_dict,
@@ -107,6 +107,7 @@ __all__ = [
     "KeyfindMatch",
     "RecoveredAesKey",
     "ScanReport",
+    "ScanRung",
     "Shard",
     "SweepPoint",
     "ScheduleHit",
@@ -130,7 +131,6 @@ __all__ = [
     "merge_recovered",
     "mine_scrambler_keys",
     "minimum_known_bits_for_unique_key",
-    "parallel_recover_keys",
     "solve_key_from_known_plaintext",
     "passes_key_litmus",
     "reconstruct_schedule",
@@ -148,4 +148,5 @@ __all__ = [
     "triage_regions",
     "unique_master_keys",
     "vote_correct_table",
+    "xts_master_key",
 ]

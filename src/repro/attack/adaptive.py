@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from repro.attack.keymine import (
     mine_scrambler_keys,
 )
 from repro.attack.litmus import key_litmus_mismatch_bits, litmus_parity_matrix
-from repro.attack.parallel import merge_recovered
+from repro.attack.parallel import ScanReport, ScanRung, resilient_recover_keys
 from repro.crypto.aes import schedule_bytes
 from repro.dram.image import MemoryImage
 from repro.resilience.deadline import Deadline
@@ -301,6 +302,8 @@ class BudgetStage:
     extension_radius_blocks: int = 6
     #: Relative work units this stage consumes from the total budget.
     cost: int = 1
+    #: Minimum sightings for a mined key to join the rung's pool.
+    min_key_count: int = 1
 
     def __post_init__(self) -> None:
         if self.cost < 1:
@@ -667,7 +670,7 @@ class AdaptiveRecovery:
 
     recovered: list[RecoveredAesKey]
     candidates: list[CandidateKey]
-    estimate: DecayEstimate
+    estimate: DecayEstimate | None
     stages_run: list[str]
     work_spent: int
     quarantined: list[RegionQuarantineError] = field(default_factory=list)
@@ -683,6 +686,11 @@ class AdaptiveRecovery:
     #: Wall seconds each escalation stage spent (mining + search),
     #: keyed by stage name — the robustness sweep's cost breakdown.
     stage_seconds: dict = field(default_factory=dict)
+    #: The last rung's shard-runner report (ledger, shard layout,
+    #: deadline/interrupt accounting); None when no rung scanned.
+    scan: ScanReport | None = None
+    #: Wall seconds spent mining, each distinct budget once.
+    mine_seconds: float = 0.0
 
     @property
     def masters(self) -> list[bytes]:
@@ -708,6 +716,43 @@ class AdaptiveRecovery:
             "decode": decode_block,
             "stage_seconds": dict(self.stage_seconds),
         }
+
+
+#: Decode telemetry summed over a run's searches.
+_DECODE_TOTALS = ("tables", "iterations", "converged", "abstained", "checks_updated",
+                  "checks_dense", "posterior_entropy_sum")
+
+#: :class:`BudgetStage` fields that are :class:`AesKeySearch` budgets.
+_SEARCH_BUDGETS = ("verify_tolerance_bits", "accept_mismatch_fraction", "repair_bits",
+                   "schedule_vote", "join_radius_bits", "extension_radius_blocks",
+                   "schedule_decode")
+
+
+class _MiningMemo:
+    """Mines each distinct (image, litmus tolerance, merge radius, minimum
+    count) once per run, at one scan limit.  The image is held beside
+    its pool so its ``id`` cannot be reused while the memo lives."""
+
+    def __init__(self, scan_limit_bytes: int | None) -> None:
+        self.scan_limit_bytes = scan_limit_bytes
+        self.seconds = 0.0
+        self._pools: dict[tuple, tuple[MemoryImage, list[CandidateKey]]] = {}
+
+    def __call__(self, image: MemoryImage, stage: BudgetStage) -> list[CandidateKey]:
+        key = (id(image), stage.litmus_tolerance_bits, stage.merge_radius_bits,
+               stage.min_key_count)
+        if key not in self._pools:
+            start = time.perf_counter()
+            pool = mine_scrambler_keys(
+                image,
+                tolerance_bits=stage.litmus_tolerance_bits,
+                merge_radius_bits=stage.merge_radius_bits,
+                min_count=stage.min_key_count,
+                scan_limit_bytes=self.scan_limit_bytes,
+            )
+            self.seconds += time.perf_counter() - start
+            self._pools[key] = (image, pool)
+        return self._pools[key][1]
 
 
 class AdaptiveRecoveryEngine:
@@ -780,29 +825,47 @@ class AdaptiveRecoveryEngine:
             total += take
         return MemoryImage(b"".join(parts))
 
-    def _complete_pairs(
+    def _rescue(
         self,
         image: MemoryImage,
-        search: AesKeySearch,
         recovered: list[RecoveredAesKey],
+        pool: list[CandidateKey],
         stage: BudgetStage,
+        options: dict,
+        deadline: "Deadline | None",
+        fold,
     ) -> list[RecoveredAesKey]:
-        """Second chance for XTS siblings one schedule-length away.
+        """Second chance for the XTS sibling of every unpaired schedule.
 
-        Mirrors the pipeline's targeted rescue: with the base pinned by
-        a recovered partner, verification affords a loose budget, so a
-        tweak schedule too decayed for the open scan still surfaces.
+        An XTS volume keeps its primary and tweak schedules one schedule
+        length apart, so a base with no recovered partner at ±stride
+        pins its sibling's base, and the targeted recovery can afford a
+        loose verify budget, ``max(40, verify + 8)``.  ``+stride`` is
+        probed first, then ``−stride``, stopping at the first hit.  The
+        pinned search is built only when some base is unpaired.
         """
         stride = schedule_bytes(self.key_bits)
         by_base = {r.hits[0].table_base: r for r in recovered if r.hits}
+
+        def unpaired(base: int) -> bool:
+            return base + stride not in by_base and base - stride not in by_base
+
+        lonely = [base for base in sorted(by_base) if unpaired(base)]
+        if not lonely:
+            return recovered
+        search = AesKeySearch(keys_matrix(pool), self.key_bits, deadline=deadline, **options)
         loose = max(40, stage.verify_tolerance_bits + 8)
-        for base in sorted(by_base):
-            for sibling in (base - stride, base + stride):
-                if sibling < 0 or sibling in by_base:
-                    continue
-                extra = search.recover_at_base(image, sibling, loose_tolerance_bits=loose)
-                if extra is not None and extra.hits:
-                    by_base[sibling] = extra
+        try:
+            for base in lonely:
+                if not unpaired(base):
+                    continue  # an earlier probe rescued this base's partner
+                for sibling in (base + stride, base - stride):
+                    extra = search.recover_at_base(image, sibling, loose_tolerance_bits=loose)
+                    if extra is not None and extra.hits:
+                        by_base[sibling] = extra
+                        break
+        finally:
+            fold(search.decode_stats, search.decode_abstains)
         return [by_base[base] for base in sorted(by_base)]
 
     # ------------------------------------------------------------------- scan
@@ -812,6 +875,7 @@ class AdaptiveRecoveryEngine:
         image: MemoryImage,
         reference: MemoryImage | None = None,
         deadline: "Deadline | float | None" = None,
+        scan=None,
     ) -> AdaptiveRecovery:
         """Estimate, triage, escalate; return keys plus diagnostics.
 
@@ -821,16 +885,12 @@ class AdaptiveRecoveryEngine:
         skipped when the wall time already spent per unit of stage cost
         predicts it will not fit the remaining budget, and nothing
         starts after expiry — the engine returns whatever the completed
-        stages recovered rather than raising.
+        stages recovered rather than raising.  ``scan`` runs each
+        rung's shards (see :meth:`climb`).
         """
         deadline = Deadline.coerce(deadline)
-        diagnostics: list[str] = []
-        strict_candidates = mine_scrambler_keys(
-            image,
-            tolerance_bits=STRICT_STAGE.litmus_tolerance_bits,
-            merge_radius_bits=STRICT_STAGE.merge_radius_bits,
-            scan_limit_bytes=self.scan_limit_bytes,
-        )
+        mine = _MiningMemo(self.scan_limit_bytes)
+        strict_candidates = mine(image, STRICT_STAGE)
         reference_map = None
         if reference is not None:
             from repro.analysis.decay_map import decay_map
@@ -845,10 +905,10 @@ class AdaptiveRecoveryEngine:
         stages = AdaptiveBudget(
             estimate, total_work=self.total_work, max_stage=self.max_stage
         ).stages()
-        diagnostics.append(
+        diagnostics = [
             f"decay rate {estimate.rate:.4f} from {estimate.source}; "
             f"ladder: {', '.join(stage.name for stage in stages)}"
-        )
+        ]
         # Triage compares each region's litmus passers against the pool
         # the *widest* stage would mine — a strict pool misses the keys
         # only visible at escalated tolerances and would flag healthy
@@ -856,17 +916,9 @@ class AdaptiveRecoveryEngine:
         # not last in the ladder: in the decode-first band the decoded
         # rung runs before widened but still mines the widest.)
         widest = max(stages, key=lambda stage: stage.litmus_tolerance_bits)
-        triage_pool = strict_candidates
-        if widest.litmus_tolerance_bits > STRICT_STAGE.litmus_tolerance_bits:
-            triage_pool = mine_scrambler_keys(
-                image,
-                tolerance_bits=widest.litmus_tolerance_bits,
-                merge_radius_bits=widest.merge_radius_bits,
-                scan_limit_bytes=self.scan_limit_bytes,
-            )
         extents, quarantined = triage_regions(
             image,
-            triage_pool,
+            mine(image, widest),
             litmus_tolerance_bits=widest.litmus_tolerance_bits,
             merge_radius_bits=widest.merge_radius_bits,
             region_bytes=self.region_bytes,
@@ -883,39 +935,69 @@ class AdaptiveRecoveryEngine:
                 quarantined=quarantined,
                 diagnostics=diagnostics,
             )
-        mining_image = self._mining_image(image, extents)
+        result = self.climb(
+            image, stages, scan=scan, extents=extents, estimate=estimate,
+            deadline=deadline, mine=mine,
+        )
+        result.quarantined = quarantined
+        result.diagnostics[:0] = diagnostics
+        return result
 
+    def climb(
+        self,
+        image: MemoryImage,
+        stages: list[BudgetStage],
+        scan=None,
+        extents: list[tuple[int, int]] | None = None,
+        estimate: DecayEstimate | None = None,
+        deadline: "Deadline | float | None" = None,
+        mine: "_MiningMemo | None" = None,
+    ) -> AdaptiveRecovery:
+        """The rung loop every attack runs: mine, scan, merge, rescue.
+
+        Per rung: mine the (triaged) image at the rung's budgets, cap
+        the pool, scan the ``extents`` through ``scan`` (a callable
+        taking ``rung=`` a :class:`~repro.attack.parallel.ScanRung`,
+        returning a :class:`~repro.attack.parallel.ScanReport`; by
+        default in-process :func:`resilient_recover_keys`, one shard
+        per extent), then :meth:`_rescue` unpaired XTS siblings.  The
+        loop stops at the first rung whose recoveries clear the
+        confidence floor.  ``estimate`` (the adaptive ladder's)
+        calibrates confidence scoring and arms the floor; without one —
+        the fixed budgets, a one-rung ladder — recoveries are kept as
+        scored.  A scan stopped by the deadline or a signal ends the
+        loop with what its completed shards recovered.
+        """
+        deadline = Deadline.coerce(deadline)
+        mine = mine or _MiningMemo(self.scan_limit_bytes)
+        if scan is None:
+            scan = partial(
+                resilient_recover_keys, image, key_bits=self.key_bits, deadline=deadline
+            )
+        mining_image = image if extents is None else self._mining_image(image, extents)
+        rung_extents = None if extents is None else tuple(extents)
+        floor = STOP_CONFIDENCE_FLOOR if estimate is not None else 0.0
+        diagnostics: list[str] = []
         recovered: list[RecoveredAesKey] = []
-        candidates = strict_candidates
+        candidates: list[CandidateKey] = []
+        scan_report = None
         stages_run: list[str] = []
         spent = 0
-        decode_totals = {
-            "tables": 0,
-            "iterations": 0,
-            "converged": 0,
-            "abstained": 0,
-            "checks_updated": 0,
-            "checks_dense": 0,
-            "posterior_entropy_sum": 0.0,
-            "interrupted": False,
-        }
+        decode_totals = dict.fromkeys(_DECODE_TOTALS, 0)
         decode_abstains: list = []
+        interrupted = False
         stage_seconds: dict[str, float] = {}
 
-        def fold_decode(search: AesKeySearch) -> None:
-            for key_name in (
-                "tables",
-                "iterations",
-                "converged",
-                "abstained",
-                "checks_updated",
-                "checks_dense",
-            ):
-                decode_totals[key_name] += search.decode_stats[key_name]
-            decode_totals["posterior_entropy_sum"] += search.decode_stats[
-                "posterior_entropy_sum"
-            ]
-            decode_abstains.extend(search.decode_abstains)
+        def fold(stats: dict, abstains: list) -> None:
+            for name in decode_totals:
+                decode_totals[name] += stats.get(name, 0)
+            decode_abstains.extend(abstains)
+
+        def interruption(stage: BudgetStage, cause: str) -> str:
+            checkpointed = self.decode_state_store is not None and stage.schedule_decode
+            return f"stage {stage.name!r} interrupted: {cause}" + (
+                "; partial decode state checkpointed" if checkpointed else ""
+            )
 
         escalation_start = time.monotonic()
         for stage in stages:
@@ -926,7 +1008,7 @@ class AdaptiveRecoveryEngine:
                     f"stage {stage.name!r} skipped: work budget exhausted"
                 )
                 continue
-            if deadline is not None and deadline.expired:
+            if stages_run and deadline is not None and deadline.expired:
                 diagnostics.append(
                     f"deadline expired before stage {stage.name!r}; stopping escalation"
                 )
@@ -947,72 +1029,49 @@ class AdaptiveRecoveryEngine:
             stages_run.append(stage.name)
             stage_start = time.monotonic()
             try:
-                candidates = mine_scrambler_keys(
-                    mining_image,
-                    tolerance_bits=stage.litmus_tolerance_bits,
-                    merge_radius_bits=stage.merge_radius_bits,
-                    scan_limit_bytes=self.scan_limit_bytes,
-                )
-                if self.max_candidate_keys is not None:
-                    candidates = candidates[: self.max_candidate_keys]
-                if not candidates:
+                candidates = mine(mining_image, stage)
+                pool = candidates[: self.max_candidate_keys]
+                if not pool:
                     diagnostics.append(f"stage {stage.name!r}: no candidate keys mined")
                     continue
-                # Wider mining sees more disagreement, so the estimate can
-                # only sharpen upward — refresh it for confidence scoring.
-                refreshed = estimate_decay_rate(candidates=candidates, prior_rate=estimate.rate)
-                if refreshed.source == "mined-support" and refreshed.rate > estimate.rate:
-                    estimate = refreshed
-                pool = keys_matrix(candidates)
-                # Confidence is scored against the channel the verifier
-                # actually sees: local decay plus the pool keys' own
-                # residual decay (see :func:`pool_decay_rate`).
-                effective_rate = min(0.499, estimate.rate + pool_decay_rate(pool))
-                search = AesKeySearch(
-                    pool,
-                    self.key_bits,
-                    verify_tolerance_bits=stage.verify_tolerance_bits,
-                    accept_mismatch_fraction=stage.accept_mismatch_fraction,
-                    repair_bits=stage.repair_bits,
-                    schedule_vote=stage.schedule_vote,
-                    join_radius_bits=stage.join_radius_bits,
-                    extension_radius_blocks=stage.extension_radius_blocks,
-                    decay_rate=effective_rate,
-                    schedule_decode=stage.schedule_decode,
+                decay_rate = None
+                if estimate is not None:
+                    # Wider mining sees more disagreement, so the estimate
+                    # can only sharpen upward — refresh it for confidence
+                    # scoring.
+                    refreshed = estimate_decay_rate(candidates=pool, prior_rate=estimate.rate)
+                    if refreshed.source == "mined-support" and refreshed.rate > estimate.rate:
+                        estimate = refreshed
+                    # Confidence is scored against the channel the verifier
+                    # actually sees: local decay plus the pool keys' own
+                    # residual decay (see :func:`pool_decay_rate`).
+                    decay_rate = min(0.499, estimate.rate + pool_decay_rate(keys_matrix(pool)))
+                options = {name: getattr(stage, name) for name in _SEARCH_BUDGETS}
+                options.update(
+                    decay_rate=decay_rate,
                     decode_iters=self.decode_iters,
                     decode_workers=self.decode_workers,
                     decode_state_store=self.decode_state_store,
-                    deadline=deadline,
                 )
-                try:
-                    per_extent = [
-                        (
-                            offset,
-                            search.recover_keys(image.view(offset, length, base_address=0)),
-                        )
-                        for offset, length in extents
-                    ]
-                    recovered = merge_recovered(per_extent)
-                    recovered = self._complete_pairs(image, search, recovered, stage)
-                except DeadlineExceededError as error:
-                    # Mid-decode expiry: the partial posteriors are already
-                    # in the state store (the search saved them before
-                    # re-raising), so the run is resumable — report what
-                    # completed instead of discarding it.
-                    fold_decode(search)
-                    decode_totals["interrupted"] = True
-                    diagnostics.append(
-                        f"stage {stage.name!r} interrupted: {error}"
-                        + (
-                            "; partial decode state checkpointed"
-                            if self.decode_state_store is not None
-                            else ""
-                        )
-                    )
+                scan_report = scan(rung=ScanRung(pool, options, rung_extents))
+                fold(scan_report.decode_stats, scan_report.decode_abstains)
+                recovered = scan_report.recovered
+                if scan_report.unscanned_offsets:
+                    # Stopped by the deadline (a decode mid-sweep saved
+                    # its partial posteriors first) or a signal: the run
+                    # is resumable, so report what completed.
+                    interrupted = stage.schedule_decode and scan_report.deadline_expired
+                    diagnostics.append(interruption(
+                        stage,
+                        f"{scan_report.expiry_cause}, "
+                        f"{len(scan_report.unscanned_offsets)} shard(s) unscanned",
+                    ))
                     break
-                fold_decode(search)
+                recovered = self._rescue(
+                    image, recovered, pool, stage, options, deadline, fold
+                )
                 if recovered:
-                    if max(r.confidence for r in recovered) >= STOP_CONFIDENCE_FLOOR:
+                    if max(r.confidence for r in recovered) >= floor:
                         diagnostics.append(
                             f"stage {stage.name!r}: recovered {len(recovered)} schedule(s)"
                         )
@@ -1024,23 +1083,23 @@ class AdaptiveRecoveryEngine:
                     recovered = []
                     continue
                 diagnostics.append(f"stage {stage.name!r}: no schedules recovered")
+            except DeadlineExceededError as error:
+                # Mid-decode expiry in the rescue: the partial posteriors
+                # are already in the state store.
+                interrupted = True
+                diagnostics.append(interruption(stage, str(error)))
+                break
             finally:
                 stage_seconds[stage.name] = time.monotonic() - stage_start
         decode_block = None
-        if decode_totals["tables"] or decode_totals["interrupted"]:
+        if decode_totals["tables"] or interrupted:
             tables = decode_totals["tables"]
+            entropy = decode_totals.pop("posterior_entropy_sum")
             decode_block = {
-                "tables": tables,
-                "iterations": decode_totals["iterations"],
-                "converged": decode_totals["converged"],
-                "abstained": decode_totals["abstained"],
-                "checks_updated": decode_totals["checks_updated"],
-                "checks_dense": decode_totals["checks_dense"],
+                **decode_totals,
                 "workers": self.decode_workers,
-                "mean_posterior_entropy": (
-                    decode_totals["posterior_entropy_sum"] / tables if tables else 0.0
-                ),
-                "interrupted": decode_totals["interrupted"],
+                "mean_posterior_entropy": entropy / tables if tables else 0.0,
+                "interrupted": interrupted,
             }
         return AdaptiveRecovery(
             recovered=recovered,
@@ -1048,11 +1107,12 @@ class AdaptiveRecoveryEngine:
             estimate=estimate,
             stages_run=stages_run,
             work_spent=spent,
-            quarantined=quarantined,
             diagnostics=diagnostics,
             decode=decode_block,
             decode_abstains=decode_abstains,
             stage_seconds=stage_seconds,
+            scan=scan_report,
+            mine_seconds=mine.seconds,
         )
 
     # ---------------------------------------------------------------- keyfind

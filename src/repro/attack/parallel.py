@@ -12,6 +12,10 @@ hours using multiple machines".  This module implements that split:
   process pool;
 * results merge by table base, deduplicating the overlap.
 
+Every attack run scans through here: each rung of its budget ladder
+arrives as a :class:`ScanRung` (mined key pool, search budgets, and
+the extents left by region triage, each split into ``n_shards``).
+
 A multi-hour batch job cannot die because one worker did, so the scan
 runs on :class:`repro.resilience.executor.ResilientShardRunner`:
 crashed or hung shards are retried with deterministic backoff, shards
@@ -67,7 +71,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.attack.aes_search import AesKeySearch, KeyFingerprintCache, RecoveredAesKey
-from repro.attack.keymine import DEFAULT_SCAN_LIMIT_BYTES, keys_matrix, mine_scrambler_keys
+from repro.attack.keymine import keys_matrix, mine_scrambler_keys
 from repro.crypto.aes import schedule_bytes
 from repro.dram.image import MemoryImage
 from repro.resilience.checkpoint import CheckpointJournal, JournalHeader, dump_fingerprint
@@ -209,43 +213,10 @@ def merge_recovered(
     return [by_global_base[base] for base in sorted(by_global_base)]
 
 
-def _search_shard(
-    payload: tuple[bytes, bytes, int, FaultPlan | None],
-    shard_offset: int,
-    attempt: int,
-    in_subprocess: bool,
-) -> list[RecoveredAesKey]:
-    """Worker: run the AES search over one shard (picklable signature).
-
-    When a :class:`FaultPlan` rides along it is consulted first — the
-    injected crash/hang/corruption happens in the worker, on exactly
-    the code path a real failure would take.
-    """
-    shard_data, keys_blob, key_bits, fault_plan = payload
-    if fault_plan is not None:
-        shard_data = fault_plan.apply(
-            shard_offset, attempt, shard_data, in_subprocess=in_subprocess
-        )
-    keys = np.frombuffer(keys_blob, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-    search = AesKeySearch(keys.copy(), key_bits=key_bits)
-    return search.recover_keys(MemoryImage(shard_data))
-
-
 #: Per-process scan state installed by :func:`_init_scan_worker`: the
 #: attached dump buffer, the key matrix, and the key-side fingerprint
 #: cache every shard task in this process reuses.
 _WORKER_STATE: dict = {}
-
-
-def _resolve_buffer(ref: tuple) -> tuple[object | None, object]:
-    """Materialise a buffer reference into ``(holder, buffer)``.
-
-    Delegates to :func:`repro.resilience.resources.resolve_ref`, which
-    owns the attach protocol for every backend in the degradation chain
-    — ``("shm", name, length)``, ``("file", path, length)``, and the
-    in-process ``("buffer", obj)`` fast path.
-    """
-    return resolve_ref(ref)
 
 
 def _release_worker_state() -> None:
@@ -271,6 +242,7 @@ def _init_scan_worker(
     heartbeat_ref: tuple | None = None,
     heartbeat_slots: dict[int, int] | None = None,
     cache_ref: tuple | None = None,
+    search_options: dict | None = None,
 ) -> None:
     """Attach dump + key matrix once per worker process (pool initializer).
 
@@ -300,10 +272,13 @@ def _init_scan_worker(
     structural checks falls back to a local rebuild (the cache is a
     pure function of the keys, so correctness never depends on the
     blob).
+
+    ``search_options`` are the rung's :class:`AesKeySearch` keyword
+    budgets (and deadline); every shard search is built with them.
     """
     _release_worker_state()
-    dump_holder, dump_view = _resolve_buffer(dump_ref)
-    keys_holder, keys_view = _resolve_buffer(keys_ref)
+    dump_holder, dump_view = resolve_ref(dump_ref)
+    keys_holder, keys_view = resolve_ref(keys_ref)
     keys = np.frombuffer(keys_view, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
     cache_holder = None
     key_cache = None
@@ -314,7 +289,7 @@ def _init_scan_worker(
         # by reference.
         key_cache = cache_ref[1]
     elif cache_ref is not None:
-        cache_holder, cache_view = _resolve_buffer(cache_ref)
+        cache_holder, cache_view = resolve_ref(cache_ref)
         try:
             key_cache = KeyFingerprintCache.attach(keys, key_bits, cache_view)
         except (ValueError, KeyError):
@@ -330,6 +305,7 @@ def _init_scan_worker(
         key_bits=key_bits,
         keys_crc=keys_crc,
         key_cache=key_cache,
+        search_options=search_options or {},
         holders=(dump_holder, keys_holder, cache_holder),
     )
     if heartbeat_ref is not None:
@@ -341,7 +317,7 @@ def _scan_shard_task(
     shard_offset: int,
     attempt: int,
     in_subprocess: bool,
-) -> list[RecoveredAesKey]:
+) -> _ShardFindings:
     """Worker: search one shard of the pre-attached dump.
 
     The payload is ``(length, fault_plan)`` — with the dump and keys
@@ -382,11 +358,35 @@ def _scan_shard_task(
     # published) must also invalidate the fingerprint cache — it was
     # built from the clean keys.
     cache = state["key_cache"] if keys is state["keys"] else None
-    search = AesKeySearch(keys, key_bits=state["key_bits"], key_cache=cache)
+    search = AesKeySearch(
+        keys, key_bits=state["key_bits"], key_cache=cache, **state["search_options"]
+    )
     search.on_progress = lambda: beat(shard_offset)
     results = search.recover_keys(image)
     beat(shard_offset)
-    return results
+    return _ShardFindings(results, search.decode_stats, search.decode_abstains)
+
+
+@dataclass
+class _ShardFindings:
+    """One shard's recovered keys plus its search's decode telemetry
+    (only ``recovered`` is journalled)."""
+
+    recovered: list[RecoveredAesKey]
+    decode_stats: dict = field(default_factory=dict)
+    decode_abstains: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class ScanRung:
+    """One rung of the attack ladder, as the shard runner scans it:
+    the rung's mined (capped) key pool, the :class:`AesKeySearch`
+    keyword budgets of every shard search, and the block-aligned
+    ``(offset, length)`` extents to scan (None: the whole dump)."""
+
+    candidates: list
+    search_options: dict = field(default_factory=dict)
+    extents: tuple[tuple[int, int], ...] | None = None
 
 
 @dataclass
@@ -419,6 +419,12 @@ class ScanReport:
     #: GIL-releasing fused kernels), or ``"process"`` (isolated,
     #: killable workers — the chaos-tolerant pool).
     executor: str = "serial"
+    #: Decode telemetry summed over the shard searches (the keys of
+    #: :attr:`AesKeySearch.decode_stats`; empty when nothing ran).
+    decode_stats: dict = field(default_factory=dict)
+    #: Every shard's :class:`~repro.resilience.errors.DecodeAbstainError`
+    #: evidence, in shard order.
+    decode_abstains: list = field(default_factory=list)
 
     @property
     def quarantined_offsets(self) -> list[int]:
@@ -462,10 +468,7 @@ def resilient_recover_keys(
     key_bits: int = 256,
     workers: int = 1,
     n_shards: int | None = None,
-    mining_tolerance_bits: int = 16,
-    mining_merge_radius_bits: int = 16,
-    mining_min_count: int = 1,
-    mining_scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
+    rung: ScanRung | None = None,
     retry_policy: RetryPolicy | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = True,
@@ -480,8 +483,7 @@ def resilient_recover_keys(
 ) -> ScanReport:
     """Mine once, search in shards fault-tolerantly, merge, report.
 
-    The full-control variant of :func:`parallel_recover_keys`: failures
-    are retried per ``retry_policy``, completed shards are journalled
+    Failures are retried per ``retry_policy``, completed shards are journalled
     to ``checkpoint`` (and skipped on ``resume``), and ``fault_plan``
     lets the test harness sabotage workers deterministically.
 
@@ -503,9 +505,10 @@ def resilient_recover_keys(
     run needs process isolation — a stall watchdog or a fault plan with
     process-level (``kill``/``hang``) faults.
 
-    The ``mining_*`` arguments are :func:`mine_scrambler_keys`'s
-    budgets (litmus tolerance, merge radius, minimum count, scan
-    limit), as :class:`~repro.attack.pipeline.AttackConfig` sets them.
+    ``rung`` (a :class:`ScanRung`) supplies an already-mined key pool,
+    the search budgets and the extents to scan; without one the dump is
+    mined and searched at the paper's default budgets.  Use
+    ``.recovered`` for just the merged keys.
     """
     if workers < 1:
         raise ShardLayoutError("need at least one worker")
@@ -523,20 +526,23 @@ def resilient_recover_keys(
     deadline = Deadline.coerce(deadline)
     deadline_seconds = deadline.total_seconds if deadline is not None else None
     start = time.perf_counter()
-    candidates = mine_scrambler_keys(
-        dump,
-        tolerance_bits=mining_tolerance_bits,
-        merge_radius_bits=mining_merge_radius_bits,
-        min_count=mining_min_count,
-        scan_limit_bytes=mining_scan_limit_bytes,
-    )
+    if rung is None:
+        rung = ScanRung(mine_scrambler_keys(dump))
+    candidates = rung.candidates
     mine_seconds = time.perf_counter() - start
     if not candidates:
         return ScanReport(
             candidates=[], mine_seconds=mine_seconds, deadline_seconds=deadline_seconds
         )
     overlap = schedule_bytes(key_bits) + BLOCK_SIZE
-    shards = shard_image(dump, n_shards=n_shards or workers, overlap_bytes=overlap)
+    # Each extent splits into its own shards; one shard scans it whole.
+    shards = [
+        Shard(offset + shard.base_offset, shard.image)
+        for offset, length in rung.extents or ((0, len(dump)),)
+        for shard in shard_image(
+            dump.view(offset, length, base_address=0), n_shards or workers, overlap
+        )
+    ]
 
     journal: CheckpointJournal | None = None
     already_done: dict[int, list[RecoveredAesKey]] = {}
@@ -585,7 +591,7 @@ def resilient_recover_keys(
             report.ledger.outcomes[shard.base_offset] = ShardOutcome(
                 shard_offset=shard.base_offset,
                 status=STATUS_FROM_CHECKPOINT,
-                result=already_done[shard.base_offset],
+                result=_ShardFindings(already_done[shard.base_offset]),
             )
             continue
         jobs[shard.base_offset] = (shard.length, fault_plan)
@@ -668,7 +674,11 @@ def resilient_recover_keys(
             # resumes.  Journaling survives a dying filesystem by
             # rotating to the fallback path; if even that fails the
             # scan continues un-journalled rather than dying mid-write.
-            on_result = None if journal is None else journal.record
+            on_result = None
+            if journal is not None:
+                def on_result(offset: int, findings: _ShardFindings) -> None:
+                    journal.record(offset, findings.recovered)
+
             if (
                 on_result is not None
                 and fault_plan is not None
@@ -710,6 +720,7 @@ def resilient_recover_keys(
                 initargs=(
                     dump_ref, keys_ref, key_bits, keys_crc,
                     heartbeat_ref, heartbeat_slots, cache_ref,
+                    {**rung.search_options, "deadline": deadline},
                 ),
                 pool_kind=pool_kind,
             )
@@ -733,42 +744,13 @@ def resilient_recover_keys(
         report.ledger.stop_cause = run_ledger.stop_cause
         report.ledger.outcomes.update(run_ledger.outcomes)
 
-    per_shard = [
-        (outcome.shard_offset, outcome.result)
-        for outcome in report.ledger.completed
-    ]
-    report.recovered = merge_recovered(per_shard)
+    completed = sorted(report.ledger.completed, key=lambda outcome: outcome.shard_offset)
+    report.recovered = merge_recovered(
+        [(outcome.shard_offset, outcome.result.recovered) for outcome in completed]
+    )
+    for outcome in completed:
+        for name, value in outcome.result.decode_stats.items():
+            report.decode_stats[name] = report.decode_stats.get(name, 0) + value
+        report.decode_abstains.extend(outcome.result.decode_abstains)
     report.search_seconds = time.perf_counter() - search_start
     return report
-
-
-def parallel_recover_keys(
-    dump: MemoryImage,
-    key_bits: int = 256,
-    workers: int = 1,
-    n_shards: int | None = None,
-    mining_tolerance_bits: int = 16,
-    retry_policy: RetryPolicy | None = None,
-    checkpoint: str | Path | None = None,
-    resume: bool = True,
-    fault_plan: FaultPlan | None = None,
-    executor: str = "auto",
-) -> list[RecoveredAesKey]:
-    """Mine once, search in shards, merge — the paper's scaling recipe.
-
-    Thin wrapper over :func:`resilient_recover_keys` that returns just
-    the recovered keys; use the latter when the execution ledger
-    (quarantined shards, resume accounting) matters.
-    """
-    return resilient_recover_keys(
-        dump,
-        key_bits=key_bits,
-        workers=workers,
-        n_shards=n_shards,
-        mining_tolerance_bits=mining_tolerance_bits,
-        retry_policy=retry_policy,
-        checkpoint=checkpoint,
-        resume=resume,
-        fault_plan=fault_plan,
-        executor=executor,
-    ).recovered

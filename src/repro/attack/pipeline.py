@@ -11,7 +11,9 @@ Given nothing but a scrambled memory dump, the pipeline:
    of a schedule yields an independent reconstruction — the
    majority-vote generalisation of the paper's neighbour walk);
 4. recovers the secret AES master key from the head of each voted
-   schedule.
+   schedule;
+5. pairs adjacent XTS schedules into the volume's master key, after a
+   targeted probe for the missing sibling of any unpaired schedule.
 
 The attack model matches the paper's: no knowledge of which blocks
 share a key, no knowledge of plaintext contents, dump possibly taken
@@ -21,10 +23,14 @@ through a second live scrambler, modest bit decay tolerated throughout.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
-from repro.attack.aes_search import AesKeySearch, RecoveredAesKey, ScheduleHit
-from repro.attack.keymine import CandidateKey, keys_matrix, mine_scrambler_keys
+from repro.attack.aes_search import RecoveredAesKey, ScheduleHit
+
+# Step 1's miner, re-exported from the pipeline module.
+from repro.attack.keymine import CandidateKey, mine_scrambler_keys  # noqa: F401
+from repro.crypto.aes import schedule_bytes
 from repro.dram.image import MemoryImage
 
 
@@ -102,12 +108,13 @@ class AttackReport:
     dump_bytes: int = 0
     mine_seconds: float = 0.0
     search_seconds: float = 0.0
-    #: Sharded-run bookkeeping (zero / empty for monolithic runs).
+    #: Shard-runner bookkeeping (a monolithic run is one shard; zero
+    #: when nothing was scanned).
     n_shards: int = 0
     quarantined_shards: list[int] = field(default_factory=list)
     resumed_shards: int = 0
     degraded_to_serial: bool = False
-    #: Deadline/watchdog bookkeeping (defaults for monolithic runs).
+    #: Deadline/watchdog bookkeeping.
     deadline_s: float | None = None
     deadline_expired: bool = False
     interrupted: bool = False
@@ -123,8 +130,8 @@ class AttackReport:
     resource_backend: str = ""
     checkpoint_path: str | None = None
     checkpoint_error: str | None = None
-    #: How shard jobs ran ("serial", "thread", or "process"; "" for
-    #: non-sharded runs).
+    #: How shard jobs ran ("serial", "thread", or "process"; "" when
+    #: nothing was scanned).
     executor: str = ""
     #: Adaptive-run bookkeeping (``None`` for fixed-budget runs): the
     #: :meth:`repro.attack.adaptive.AdaptiveRecovery.summary` digest —
@@ -160,7 +167,7 @@ class AttackReport:
 
     @property
     def master_keys(self) -> list[bytes]:
-        """Recovered AES master keys, strongest evidence first."""
+        """Recovered AES master keys, in dump order."""
         return [r.master_key for r in self.recovered_keys]
 
     @property
@@ -205,55 +212,68 @@ class AttackReport:
         return text
 
 
+def xts_master_key(recovered: list[RecoveredAesKey]) -> bytes | None:
+    """Join an XTS primary/tweak schedule pair into the 64-byte master key.
+
+    A mounted VeraCrypt-style XTS volume keeps two adjacent AES
+    schedules in RAM — the primary immediately followed (one schedule
+    length later) by the tweak.  The first base, in dump order, whose
+    partner sits exactly one schedule length after it gives
+    ``primary || tweak``; None when no pair was recovered.
+    """
+    by_base = {r.hits[0].table_base: r for r in recovered if r.hits}
+    for base in sorted(by_base):
+        primary = by_base[base]
+        partner = by_base.get(base + schedule_bytes(primary.key_bits))
+        if partner is not None and partner.key_bits == primary.key_bits:
+            return primary.master_key + partner.master_key
+    return None
+
+
 class Ddr4ColdBootAttack:
     """Orchestrates mining and searching over one scrambled dump."""
 
     def __init__(self, config: AttackConfig | None = None) -> None:
         self.config = config or AttackConfig()
 
-    def run(self, dump: MemoryImage, reference: MemoryImage | None = None) -> AttackReport:
-        """Execute steps 1–4 on a scrambled memory image.
+    def run(
+        self,
+        dump: MemoryImage,
+        reference: MemoryImage | None = None,
+        deadline=None,
+        **shard_options,
+    ) -> AttackReport:
+        """Execute steps 1–5 on a scrambled memory image.
 
-        ``reference`` (a pre-decay image, when the experiment has one)
-        is only consulted by the adaptive engine, where it upgrades the
-        decay estimate to a direct measurement.
+        One driver for every caller: the fixed budgets are a one-rung
+        ladder and ``config.adaptive`` climbs the decay-adaptive one
+        (:mod:`repro.attack.adaptive`); either way every rung mines,
+        scans its shards through
+        :func:`repro.attack.parallel.resilient_recover_keys`, merges,
+        and rescues unpaired XTS siblings (see
+        :meth:`~repro.attack.adaptive.AdaptiveRecoveryEngine.climb`).
+
+        ``shard_options`` are ``resilient_recover_keys``'s (``workers``,
+        ``n_shards``, ``retry_policy``, ``checkpoint``, ``resume``,
+        ``fault_plan``, ``on_event``, ``stop``, ``resource_policy``,
+        ``checkpoint_fallback_dir``): one shard scans each extent whole,
+        crashed and hung shards are retried and exhausted ones
+        quarantined.  ``checkpoint`` journals a fixed-budget run's
+        shards; the adaptive ladder journals none, its resume record is
+        ``config.decode_checkpoint``.  ``deadline`` (seconds or a
+        :class:`~repro.resilience.deadline.Deadline`; defaults to
+        ``config.deadline_s``) bounds the run resumably, and
+        ``config.stall_timeout_s`` arms the heartbeat watchdog for
+        multi-process scans.  ``reference`` (a pre-decay image) upgrades
+        the adaptive decay estimate to a direct measurement.
         """
-        config = self.config
-        if config.adaptive:
-            return self._run_adaptive(dump, reference)
-        report = AttackReport(dump_bytes=len(dump), deadline_s=config.deadline_s)
-
-        start = time.perf_counter()
-        report.candidate_keys = mine_scrambler_keys(
-            dump,
-            tolerance_bits=config.litmus_tolerance_bits,
-            merge_radius_bits=config.merge_radius_bits,
-            min_count=config.min_key_count,
-            scan_limit_bytes=config.key_scan_limit_bytes,
-        )
-        report.mine_seconds = time.perf_counter() - start
-        if not report.candidate_keys:
-            return report
-
-        candidates = report.candidate_keys
-        if config.max_candidate_keys is not None:
-            candidates = candidates[: config.max_candidate_keys]
-        search = AesKeySearch(
-            keys_matrix(candidates),
-            key_bits=config.key_bits,
-            verify_tolerance_bits=config.verify_tolerance_bits,
-        )
-        start = time.perf_counter()
-        report.recovered_keys = search.recover_keys(dump)
-        report.hits = [hit for rec in report.recovered_keys for hit in rec.hits]
-        report.search_seconds = time.perf_counter() - start
-        return report
-
-    def _run_adaptive(self, dump: MemoryImage, reference: MemoryImage | None) -> AttackReport:
-        """The decay-adaptive path of :meth:`run`."""
-        from repro.attack.adaptive import AdaptiveRecoveryEngine
+        from repro.attack.adaptive import STRICT_STAGE, AdaptiveRecoveryEngine
+        from repro.attack.parallel import resilient_recover_keys
+        from repro.resilience.deadline import Deadline
+        from repro.resilience.watchdog import WatchdogConfig
 
         config = self.config
+        deadline = Deadline.coerce(config.deadline_s if deadline is None else deadline)
         store = None
         if config.decode_checkpoint is not None:
             from repro.resilience.checkpoint import DecodeStateStore
@@ -270,151 +290,67 @@ class Ddr4ColdBootAttack:
             decode_workers=config.decode_workers,
             decode_state_store=store,
         )
+        if config.adaptive:
+            shard_options.pop("checkpoint", None)
+        if config.stall_timeout_s is not None:
+            shard_options["watchdog"] = WatchdogConfig(stall_timeout_s=config.stall_timeout_s)
+        scan = partial(
+            resilient_recover_keys, dump, key_bits=config.key_bits, deadline=deadline,
+            executor=config.executor, **shard_options,
+        )
         start = time.perf_counter()
-        result = engine.recover(dump, reference=reference, deadline=config.deadline_s)
-        elapsed = time.perf_counter() - start
+        if config.adaptive:
+            result = engine.recover(dump, reference=reference, deadline=deadline, scan=scan)
+        else:
+            fixed = replace(
+                STRICT_STAGE,
+                litmus_tolerance_bits=config.litmus_tolerance_bits,
+                merge_radius_bits=config.merge_radius_bits,
+                verify_tolerance_bits=config.verify_tolerance_bits,
+                min_key_count=config.min_key_count,
+            )
+            result = engine.climb(dump, [fixed], scan=scan, deadline=deadline)
         report = AttackReport(dump_bytes=len(dump), deadline_s=config.deadline_s)
         report.candidate_keys = result.candidates
         report.recovered_keys = result.recovered
         report.hits = [hit for rec in result.recovered for hit in rec.hits]
-        # The engine interleaves mining and searching per stage; the
-        # split timing is not meaningful, so everything lands in search.
-        report.search_seconds = elapsed
-        report.adaptive = result.summary()
-        report.quarantined_regions = [error.to_dict() for error in result.quarantined]
-        if result.decode is not None and result.decode.get("interrupted"):
-            # A deadline cut the decode mid-sweep; the partial
-            # posteriors (if a checkpoint store is wired) make the run
-            # resumable, so surface it the same way a sharded expiry is.
+        report.mine_seconds = result.mine_seconds
+        report.search_seconds = time.perf_counter() - start - result.mine_seconds
+        if config.adaptive:
+            report.adaptive = result.summary()
+            report.quarantined_regions = [error.to_dict() for error in result.quarantined]
+        scan_report = result.scan
+        if scan_report is not None:
+            ledger = scan_report.ledger
+            report.n_shards = scan_report.n_shards
+            report.quarantined_shards = scan_report.quarantined_offsets
+            report.resumed_shards = scan_report.resumed_shards
+            report.degraded_to_serial = ledger.degraded_to_serial
+            report.deadline_s = scan_report.deadline_seconds
+            report.deadline_expired = scan_report.deadline_expired
+            report.interrupted = scan_report.interrupted
+            report.expiry_cause = scan_report.expiry_cause
+            report.unscanned_shards = scan_report.unscanned_offsets
+            report.stall_kills = ledger.stall_kills
+            report.resource_backend = scan_report.resource_backend
+            report.checkpoint_path = scan_report.checkpoint_path
+            report.checkpoint_error = scan_report.checkpoint_error
+            report.executor = scan_report.executor
+        if result.decode is not None and result.decode["interrupted"]:
+            # A deadline cut a decode mid-sweep; the partial posteriors
+            # (if a sidecar is wired) are the run's resume record.
             report.deadline_expired = True
-            report.interrupted = True
             report.expiry_cause = "deadline"
             report.checkpoint_path = config.decode_checkpoint
         return report
 
-    def run_sharded(
-        self,
-        dump: MemoryImage,
-        workers: int = 1,
-        n_shards: int | None = None,
-        retry_policy=None,
-        checkpoint=None,
-        resume: bool = True,
-        fault_plan=None,
-        on_event=None,
-        deadline=None,
-        stop=None,
-        resource_policy=None,
-        checkpoint_fallback_dir=None,
-    ) -> AttackReport:
-        """Execute the attack as a fault-tolerant sharded scan.
-
-        The resilient sibling of :meth:`run`: the search is split into
-        overlapping shards driven by
-        :func:`repro.attack.parallel.resilient_recover_keys`, so worker
-        crashes and hangs are retried, exhausted shards are quarantined
-        (listed in ``report.quarantined_shards``), and — when
-        ``checkpoint`` names a journal file — an interrupted scan
-        resumes without re-searching completed shards.
-
-        ``deadline`` (seconds or a
-        :class:`~repro.resilience.deadline.Deadline`; defaults to
-        ``config.deadline_s``) bounds the run resumably, ``stop`` wires
-        in graceful-shutdown signals, and ``config.stall_timeout_s``
-        arms the heartbeat watchdog for multi-process scans.
-        """
-        from repro.attack.parallel import resilient_recover_keys
-        from repro.resilience.deadline import Deadline
-        from repro.resilience.watchdog import WatchdogConfig
-
-        config = self.config
-        if deadline is None:
-            deadline = config.deadline_s
-        deadline = Deadline.coerce(deadline)
-        watchdog = None
-        if config.stall_timeout_s is not None:
-            watchdog = WatchdogConfig(stall_timeout_s=config.stall_timeout_s)
-        scan = resilient_recover_keys(
-            dump,
-            key_bits=config.key_bits,
-            workers=workers,
-            n_shards=n_shards,
-            mining_tolerance_bits=config.litmus_tolerance_bits,
-            mining_merge_radius_bits=config.merge_radius_bits,
-            mining_min_count=config.min_key_count,
-            mining_scan_limit_bytes=config.key_scan_limit_bytes,
-            retry_policy=retry_policy,
-            checkpoint=checkpoint,
-            resume=resume,
-            fault_plan=fault_plan,
-            on_event=on_event,
-            deadline=deadline,
-            stop=stop,
-            watchdog=watchdog,
-            resource_policy=resource_policy,
-            checkpoint_fallback_dir=checkpoint_fallback_dir,
-            executor=config.executor,
-        )
-        report = AttackReport(dump_bytes=len(dump))
-        report.candidate_keys = scan.candidates
-        report.recovered_keys = scan.recovered
-        report.hits = [hit for rec in scan.recovered for hit in rec.hits]
-        report.mine_seconds = scan.mine_seconds
-        report.search_seconds = scan.search_seconds
-        report.n_shards = scan.n_shards
-        report.quarantined_shards = scan.quarantined_offsets
-        report.resumed_shards = scan.resumed_shards
-        report.degraded_to_serial = scan.ledger.degraded_to_serial
-        report.deadline_s = scan.deadline_seconds
-        report.deadline_expired = scan.deadline_expired
-        report.interrupted = scan.interrupted
-        report.expiry_cause = scan.expiry_cause
-        report.unscanned_shards = scan.unscanned_offsets
-        report.stall_kills = scan.ledger.stall_kills
-        report.resource_backend = scan.resource_backend
-        report.checkpoint_path = scan.checkpoint_path
-        report.checkpoint_error = scan.checkpoint_error
-        report.executor = scan.executor
-        return report
+    #: The sharded spelling of :meth:`run`, kept for existing callers.
+    run_sharded = run
 
     def recover_xts_master_key(self, dump: MemoryImage) -> bytes | None:
         """Recover a VeraCrypt-style 64-byte XTS master key, if present.
 
-        A mounted XTS volume keeps two adjacent AES-256 schedules in RAM
-        — the primary schedule immediately followed (240 bytes later) by
-        the tweak schedule.  Both are recovered independently; a pair of
-        recovered keys whose table bases differ by exactly one schedule
-        length is joined into the 64-byte master key.
+        :meth:`run` (which already rescues a sibling schedule too
+        decayed for the open scan) followed by :func:`xts_master_key`.
         """
-        from repro.attack.aes_search import AesKeySearch
-        from repro.crypto.aes import schedule_bytes
-
-        report = self.run(dump)
-        by_base = {r.hits[0].table_base: r for r in report.recovered_keys if r.hits}
-        stride = schedule_bytes(self.config.key_bits)
-        for base in sorted(by_base):
-            partner = by_base.get(base + stride)
-            if partner is not None:
-                return by_base[base].master_key + partner.master_key
-
-        # Second chance: one schedule of the XTS pair was recovered but
-        # its sibling's windows were too decayed for the general scan.
-        # The sibling's base is *known* (adjacent schedules), so retry
-        # with the targeted, loose-tolerance recovery.
-        if by_base and report.candidate_keys:
-            candidates = report.candidate_keys
-            if self.config.max_candidate_keys is not None:
-                candidates = candidates[: self.config.max_candidate_keys]
-            search = AesKeySearch(
-                keys_matrix(candidates),
-                key_bits=self.config.key_bits,
-                verify_tolerance_bits=self.config.verify_tolerance_bits,
-            )
-            for base in sorted(by_base):
-                after = search.recover_at_base(dump, base + stride)
-                if after is not None:
-                    return by_base[base].master_key + after.master_key
-                before = search.recover_at_base(dump, base - stride)
-                if before is not None:
-                    return before.master_key + by_base[base].master_key
-        return None
+        return xts_master_key(self.run(dump).recovered_keys)

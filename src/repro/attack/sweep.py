@@ -26,7 +26,7 @@ import numpy as np
 from repro.attack.aes_search import AesKeySearch
 from repro.attack.coldboot import TransferConditions, cold_boot_transfer
 from repro.attack.keymine import keys_matrix, mine_scrambler_keys
-from repro.attack.pipeline import Ddr4ColdBootAttack
+from repro.attack.pipeline import Ddr4ColdBootAttack, xts_master_key
 from repro.crypto.aes import expand_key
 from repro.dram.image import MemoryImage
 from repro.scrambler.ddr4 import Ddr4Scrambler
@@ -80,9 +80,8 @@ def attack_success_sweep(
         from repro.dram.retention import MODULE_PROFILES
 
         flip = MODULE_PROFILES["DDR4_A"].decay.flip_fraction(transfer_seconds, celsius)
-        attack = Ddr4ColdBootAttack()
-        report = attack.run(dump)
-        master = attack.recover_xts_master_key(dump)
+        report = Ddr4ColdBootAttack().run(dump)
+        master = xts_master_key(report.recovered_keys)
         points.append(
             SweepPoint(
                 temperature_c=celsius,
@@ -161,17 +160,13 @@ def fault_recovery_sweep(
     run.  ``("crash", "corrupt")`` is the fast default; add ``"hang"``
     / ``"kill"`` (process death) for the full, slower battery.
     """
-    from repro.attack.parallel import (
-        parallel_recover_keys,
-        resilient_recover_keys,
-        shard_image,
-    )
+    from repro.attack.parallel import resilient_recover_keys, shard_image
     from repro.crypto.aes import schedule_bytes
     from repro.resilience.faults import FaultPlan, FaultSpec
     from repro.resilience.retry import RetryPolicy
 
     dump, master, _ = synthetic_dump(bit_error_rate=0.0, seed=seed)
-    clean = parallel_recover_keys(dump, key_bits=256, workers=1, n_shards=n_shards)
+    clean = resilient_recover_keys(dump, key_bits=256, workers=1, n_shards=n_shards).recovered
     clean_masters = {r.master_key for r in clean}
     shards = shard_image(dump, n_shards, overlap_bytes=schedule_bytes(256) + 64)
     policy = RetryPolicy(

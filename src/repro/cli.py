@@ -110,7 +110,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _run_attack(args: argparse.Namespace) -> int:
-    from repro.attack import AttackConfig, Ddr4ColdBootAttack
+    from repro.attack import AttackConfig, Ddr4ColdBootAttack, xts_master_key
     from repro.attack.report import save_report_json
     from repro.resilience.shutdown import (
         EXIT_DEADLINE_EXPIRED,
@@ -119,10 +119,6 @@ def _run_attack(args: argparse.Namespace) -> int:
     )
 
     dump = _load_dump(args.dump)
-    if args.adaptive and (args.workers > 1 or args.shards):
-        print("error: --adaptive runs monolithically; drop --workers/--shards",
-              file=sys.stderr)
-        return 2
     checkpoint = args.checkpoint
     if args.resume and checkpoint is None:
         checkpoint = f"{args.dump}.checkpoint.jsonl"
@@ -155,48 +151,37 @@ def _run_attack(args: argparse.Namespace) -> int:
             executor=args.executor,
         )
     )
-    if not args.adaptive and (args.workers > 1 or args.shards or checkpoint):
-        # Fault-tolerant sharded scan: crashed/hung shards retry, the
-        # journal lets a killed run resume with --resume.  A resumed run
-        # adopts the journal's shard count unless --shards overrides it
-        # (the journal's geometry is authoritative anyway).
-        n_shards = args.shards or _journal_shard_count(checkpoint)
-        # SIGINT/SIGTERM drain in-flight shards to the journal and exit
-        # resumable; a second signal abandons them (still resumable).
-        with GracefulShutdown() as stop:
-            report = attack.run_sharded(
-                dump,
-                workers=args.workers,
-                n_shards=n_shards,
-                checkpoint=checkpoint,
-                resume=args.resume or args.checkpoint is not None,
-                on_event=lambda message: print(f"[resilience] {message}", file=sys.stderr),
-                stop=stop,
-                checkpoint_fallback_dir=args.checkpoint_fallback_dir,
-            )
-        if report.resumed_shards:
-            print(f"resumed: {report.resumed_shards}/{report.n_shards} shards "
-                  f"already in {checkpoint}")
-        for offset in report.quarantined_shards:
-            print(f"warning: shard at {offset:#x} quarantined (unscanned)",
-                  file=sys.stderr)
-        # The sharded report already holds every schedule at its global
-        # offset; pair adjacent ones rather than re-running the attack.
-        master = _pair_xts(report.recovered_keys, attack.config.key_bits)
-    elif args.adaptive:
-        reference = _load_dump(args.reference) if args.reference else None
-        report = attack.run(dump, reference=reference)
-        for note in (report.adaptive or {}).get("diagnostics", ()):
-            print(f"[adaptive] {note}", file=sys.stderr)
-        for region in report.quarantined_regions:
-            print(f"warning: region {region['offset']:#x}+{region['length']:#x} "
-                  f"quarantined ({region['reason']}): {region['detail']}",
-                  file=sys.stderr)
-        # The adaptive engine already rescued XTS siblings; pair here.
-        master = _pair_xts(report.recovered_keys, attack.config.key_bits)
-    else:
-        report = attack.run(dump)
-        master = attack.recover_xts_master_key(dump)
+    reference = _load_dump(args.reference) if args.reference else None
+    # A resumed fixed-budget run adopts the journal's shard count unless
+    # --shards overrides it (the journal's geometry is authoritative).
+    n_shards = args.shards or (None if args.adaptive else _journal_shard_count(checkpoint))
+    # SIGINT/SIGTERM drain in-flight shards to the journal and exit
+    # resumable; a second signal abandons them (still resumable).
+    with GracefulShutdown() as stop:
+        report = attack.run(
+            dump,
+            reference=reference,
+            workers=args.workers,
+            n_shards=n_shards,
+            checkpoint=checkpoint,
+            resume=args.resume or args.checkpoint is not None,
+            on_event=lambda message: print(f"[resilience] {message}", file=sys.stderr),
+            stop=stop,
+            checkpoint_fallback_dir=args.checkpoint_fallback_dir,
+        )
+    if report.resumed_shards:
+        print(f"resumed: {report.resumed_shards}/{report.n_shards} shards "
+              f"already in {checkpoint}")
+    for offset in report.quarantined_shards:
+        print(f"warning: shard at {offset:#x} quarantined (unscanned)",
+              file=sys.stderr)
+    for note in (report.adaptive or {}).get("diagnostics", ()):
+        print(f"[adaptive] {note}", file=sys.stderr)
+    for region in report.quarantined_regions:
+        print(f"warning: region {region['offset']:#x}+{region['length']:#x} "
+              f"quarantined ({region['reason']}): {region['detail']}",
+              file=sys.stderr)
+    master = xts_master_key(report.recovered_keys)
     if args.json:
         save_report_json(report, args.json, include_keys=not args.redact)
         print(f"wrote {args.json}")
@@ -228,18 +213,6 @@ def _journal_shard_count(checkpoint) -> int | None:
         return None  # CheckpointJournal.open will diagnose it properly
     if header.get("type") == "header":
         return header.get("n_shards")
-    return None
-
-
-def _pair_xts(recovered, key_bits: int) -> bytes | None:
-    from repro.crypto.aes import schedule_bytes
-
-    by_base = {r.hits[0].table_base: r for r in recovered if r.hits}
-    stride = schedule_bytes(key_bits)
-    for base in sorted(by_base):
-        partner = by_base.get(base + stride)
-        if partner is not None:
-            return by_base[base].master_key + partner.master_key
     return None
 
 

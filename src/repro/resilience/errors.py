@@ -74,6 +74,10 @@ class DeadlineExceededError(ReproError, TimeoutError):
             f"deadline of {deadline_seconds:g}s exceeded{suffix}"
         )
 
+    def __reduce__(self):
+        # Rebuilt from its fields when a shard worker process raises it.
+        return type(self), (self.deadline_seconds, self.context)
+
 
 class CheckpointStorageError(ReproError, OSError):
     """The checkpoint journal could not be written durably anywhere.
@@ -196,6 +200,10 @@ class DecodeAbstainError(ReproError, RuntimeError):
             f"{syndrome_weight} unsatisfied checks after {iterations} sweeps "
             f"(posterior entropy {posterior_entropy:.2f} bits/byte)"
         )
+
+    def __reduce__(self):
+        # Rebuilt from its fields when a shard worker process returns it.
+        return type(self), tuple(self.to_dict().values())
 
     def to_dict(self) -> dict:
         """JSON-ready evidence record for reports and diagnostics."""

@@ -16,7 +16,10 @@ executor replaces it with submit-based futures and explicit policy:
   exhausted), execution degrades gracefully to in-process serial mode
   rather than giving up;
 * a shard that exhausts ``max_attempts`` is quarantined and reported —
-  the scan completes without it.
+  the scan completes without it;
+* a shard that raises :class:`DeadlineExceededError` (a decode cut off
+  mid-sweep, its partial state already saved) is neither a crash nor
+  retried: it ends the run resumably, like an expiry between shards.
 
 The worker callable receives ``(payload, shard_offset, attempt,
 in_subprocess)`` and must be picklable (a module-level function); the
@@ -40,6 +43,7 @@ from typing import Any, Callable
 
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import (
+    DeadlineExceededError,
     ShardStallError,
     ShardTimeoutError,
     WorkerCrashError,
@@ -310,7 +314,7 @@ class ResilientShardRunner:
             status = STATUS_INTERRUPTED
             ledger.interrupted = True
             ledger.stop_cause = getattr(stop, "cause", "") or "interrupt"
-        elif deadline is not None and deadline.expired:
+        elif ledger.deadline_expired or (deadline is not None and deadline.expired):
             status = STATUS_EXPIRED
             ledger.deadline_expired = True
             ledger.stop_cause = "deadline"
@@ -397,6 +401,12 @@ class ResilientShardRunner:
             attempts[offset] += 1
             try:
                 result = self.worker(payload, offset, attempts[offset], False)
+            except DeadlineExceededError as exc:
+                # Not a crash: the shard is left resumable, as is the rest.
+                errors[offset].append(str(exc))
+                ledger.deadline_expired = True
+                self._halt_pending({offset: payload}, attempts, errors, ledger, deadline, stop)
+                return
             except Exception as exc:  # noqa: BLE001 — quarantine, don't die
                 crash = WorkerCrashError(offset, attempts[offset], str(exc))
                 if not self._record_failure(offset, attempts, errors, ledger, crash):
@@ -507,6 +517,10 @@ class ResilientShardRunner:
                         broken = True
                         attempts[offset] -= 1
                         errors[offset].append("BrokenProcessPool: worker process died")
+                    except DeadlineExceededError as exc:
+                        # Left pending: the halt below marks it resumable.
+                        errors[offset].append(str(exc))
+                        ledger.deadline_expired = True
                     except Exception as exc:  # noqa: BLE001
                         crash = WorkerCrashError(offset, attempts[offset], str(exc))
                         if not self._record_failure(offset, attempts, errors, ledger, crash):
@@ -562,7 +576,7 @@ class ResilientShardRunner:
                     # Second signal: abandon in-flight work right now.
                     aborted = True
                     break
-                if deadline is not None and deadline.expired:
+                if ledger.deadline_expired or (deadline is not None and deadline.expired):
                     # Budget gone: completed shards are journaled; the
                     # rest resume.  Waiting out in-flight shards could
                     # take a full shard timeout — abandon them instead.

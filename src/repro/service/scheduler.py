@@ -3,7 +3,8 @@
 The scheduler multiplexes many concurrent attack jobs over ``workers``
 threads, each job running the resilient sharded pipeline underneath
 (:class:`~repro.resilience.executor.ResilientShardRunner` via
-``run_sharded``).  Three policies stack on top:
+:meth:`~repro.attack.pipeline.Ddr4ColdBootAttack.run`).  Three
+policies stack on top:
 
 * **admission control** — the waiting queue is bounded; a submission
   past ``max_queued`` raises the typed

@@ -105,7 +105,9 @@ def atomic_write_json(path: Path, payload: dict) -> None:
 
 def execute_attack_job(job: Job, dirs: ServiceDirs, stop: GracefulShutdown,
                        on_beat=None) -> JobOutcome:
-    """Run one attempt of a job through the resilient attack pipeline.
+    """Run one attempt of a job through the attack pipeline (the same
+    :meth:`~repro.attack.pipeline.Ddr4ColdBootAttack.run` the CLI uses,
+    XTS sibling rescue included).
 
     This is the seam between the service and the attack runtime: the
     job's shard scan checkpoints to the job directory, honours the
@@ -139,7 +141,7 @@ def execute_attack_job(job: Job, dirs: ServiceDirs, stop: GracefulShutdown,
         dump = MemoryImage.load_tolerant(spec.dump)
         attack = Ddr4ColdBootAttack(AttackConfig(key_bits=spec.key_bits))
         beat()
-        report = attack.run_sharded(
+        report = attack.run(
             dump,
             workers=spec.scan_workers,
             n_shards=spec.n_shards,

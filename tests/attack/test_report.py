@@ -100,7 +100,8 @@ class TestResilienceFields:
     def test_monolithic_report_is_marked_complete(self, successful_report):
         report, _ = successful_report
         parsed = report_to_dict(report)
-        assert parsed["resilience"]["n_shards"] == 0
+        # A monolithic run is the one-shard case of the shard runner.
+        assert parsed["resilience"]["n_shards"] == 1
         assert parsed["resilience"]["complete_scan"] is True
 
     def test_markdown_warns_about_quarantine(self):

@@ -25,7 +25,6 @@ from pathlib import Path
 import pytest
 
 from repro.attack.parallel import (
-    parallel_recover_keys,
     resilient_recover_keys,
     shard_image,
 )
@@ -49,7 +48,7 @@ def dump_and_master():
 def clean_baseline(dump_and_master):
     """Keys from an unsabotaged serial scan — the ground truth."""
     dump, _ = dump_and_master
-    return parallel_recover_keys(dump, key_bits=256, workers=1, n_shards=N_SHARDS)
+    return resilient_recover_keys(dump, key_bits=256, workers=1, n_shards=N_SHARDS).recovered
 
 
 def test_clean_baseline_finds_the_planted_table(dump_and_master, clean_baseline):

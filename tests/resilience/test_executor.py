@@ -8,7 +8,9 @@ and tiny payloads — each asserts policy behaviour, not throughput.
 import os
 import time
 
+from repro.resilience.errors import DeadlineExceededError
 from repro.resilience.executor import (
+    STATUS_EXPIRED,
     STATUS_OK,
     STATUS_QUARANTINED,
     ResilientShardRunner,
@@ -54,6 +56,37 @@ def worker_hang_once(payload, shard_offset, attempt, in_subprocess):
     if attempt == 1 and in_subprocess:
         time.sleep(60.0)
     return payload
+
+
+def worker_deadline_at_one(payload, shard_offset, attempt, in_subprocess):
+    # A decode cut off by the run's deadline inside shard 1.
+    if shard_offset == 1:
+        raise DeadlineExceededError(2.0, "decode")
+    return payload
+
+
+class TestDeadlineInsideAShard:
+    """A DeadlineExceededError ends the run resumably: no crash, no
+    retry, no quarantine — every unfinished shard is left expired."""
+
+    def check(self, ledger):
+        expired = ledger.outcomes[1]
+        assert expired.status == STATUS_EXPIRED and expired.attempts == 1
+        assert "deadline of 2s exceeded during decode" in expired.errors[-1]
+        assert not ledger.quarantined
+        assert ledger.deadline_expired and ledger.stop_cause == "deadline"
+        assert {o.shard_offset for o in ledger.unfinished} >= {1}
+
+    def test_serial(self):
+        runner = ResilientShardRunner(worker_deadline_at_one, policy=FAST, workers=1)
+        ledger = runner.run({0: "a", 1: "b", 2: "c"})
+        self.check(ledger)
+        assert ledger.outcomes[0].status == STATUS_OK
+        assert ledger.outcomes[2].status == STATUS_EXPIRED
+
+    def test_process_pool(self):
+        runner = ResilientShardRunner(worker_deadline_at_one, policy=FAST, workers=2)
+        self.check(runner.run({0: "a", 1: "b", 2: "c", 3: "d"}))
 
 
 class TestSerialMode:

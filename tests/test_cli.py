@@ -167,11 +167,20 @@ class TestDecodedStageCli:
                 ["attack", "dump.bin", "--adaptive", "--max-stage", "turbo"]
             )
 
-    def test_adaptive_still_refuses_sharding_flags(self, tmp_path, capsys):
-        dump = tmp_path / "dump.bin"
-        dump.write_bytes(bytes(4 * 64))
-        assert main(["attack", str(dump), "--adaptive", "--workers", "4"]) == 2
-        assert "--adaptive runs monolithically" in capsys.readouterr().err
+    def test_adaptive_runs_sharded_with_the_monolithic_keys(self, scrambled_dump_file,
+                                                           capsys):
+        """--adaptive combines with --workers/--shards: every rung's
+        scan is sharded, and the keys match the monolithic run's."""
+        dump_path, master = scrambled_dump_file
+
+        def key_lines(argv):
+            assert main(["attack", dump_path, "--adaptive", *argv]) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "AES-256 key" in line]
+
+        monolithic = key_lines([])
+        assert any(master.hex() in line for line in monolithic)
+        assert key_lines(["--workers", "2", "--shards", "2"]) == monolithic
 
     def test_adaptive_accepts_a_checkpoint_sidecar(self, scrambled_dump_file,
                                                    capsys, tmp_path):
